@@ -85,8 +85,6 @@ func main() {
 	clientBurst := flag.Int("client-burst", 0, "per-client token-bucket depth (0 = 4x -client-rate)")
 	slowQueryMS := flag.Int("slow-query-ms", 0,
 		"slow-request threshold in milliseconds: any admitted request at or over it logs one JSON line with its stage breakdown (0 disables)")
-	executor := flag.String("executor", serve.ExecutorIter,
-		"window executor: iter (composed iterator plans) or fused (hand-fused range pipeline, the escape hatch)")
 	logFormat := flag.String("log-format", "text", "operational log format: text or json")
 	logLevel := flag.String("log-level", "info", "operational log level: debug, info, warn, error")
 	pprofAddr := flag.String("pprof-addr", "",
@@ -151,7 +149,6 @@ func main() {
 		},
 		Log:       logger,
 		SlowQuery: time.Duration(*slowQueryMS) * time.Millisecond,
-		Executor:  *executor,
 	}
 
 	repo, err := serve.Open(opts)

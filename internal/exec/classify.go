@@ -3,9 +3,9 @@ package exec
 import "ppqtraj/internal/geo"
 
 // Class is the once-per-cell margin classification — the rect filter
-// pushed below the decode. It reproduces the fused STRQRange's cell
-// triage exactly (same geometry, same epsilon), so the two executors
-// prune identical cell sets.
+// pushed below the decode. Its Reject test uses the same geometry and
+// epsilon as Verify's per-row check, so a rejected cell can hold no row
+// Verify would keep.
 type Class uint8
 
 const (

@@ -1,18 +1,15 @@
 // Package exec is the streaming query executor: a small pull-based
 // iterator/operator algebra over the index's cell-batch cursor, plus a
-// statistics-free greedy planner. The serving layer previously answered
-// every query shape with its own hand-fused pipeline (STRQ, STRQRange,
-// Window, Path, hot-tail scan), each duplicating pruning, decode,
-// ctx-checking, and merge logic; here those concerns become composable
-// operators — a source pulls decoded cell batches lazily, filters are
-// pushed below the decode via the cursor's visit hook, verification and
-// collection are sinks — so a new query shape is a new composition, not
-// a fifth fused path.
+// statistics-free greedy planner. Pruning, decode, ctx-checking, and
+// merge are composable operators — a source pulls decoded cell batches
+// lazily, filters are pushed below the decode via the cursor's visit
+// hook, verification and collection are sinks — so a new query shape is
+// a new composition, not a new hand-fused pipeline. The serving layer's
+// window queries run only on these plans.
 //
 // The unit of flow is one cell's postings (a Batch), not one row: the
 // per-pull overhead is paid once per populated cell (tens per query),
-// which keeps the composed pipeline within a few percent of the fused
-// loop it replaces (ppqbench -experiment exec measures the gap).
+// not once per row.
 //
 // Every iterator is single-goroutine and context-aware: Next observes
 // the pipeline's ctx, so a cancelled query stops between cell batches
@@ -64,7 +61,7 @@ type Iterator interface {
 }
 
 // ctxCheckEvery bounds how many per-row filter steps run between
-// context checks inside a single batch, mirroring the fused path's
+// context checks inside a single batch, mirroring query.Engine's
 // cadence: frequent enough that a cancelled query stops within
 // microseconds, rare enough to stay invisible in profiles.
 const ctxCheckEvery = 64

@@ -15,10 +15,9 @@ import (
 //	Verify → [Instrument op_verify]
 //
 // One pool fetch replaces the half-dozen operator, cursor, and scratch
-// allocations a compositional executor would otherwise pay per scan,
-// which is what keeps the iterator plans within reach of the fused
-// pipeline's pooled rangeScratch. The Instrument stages appear only
-// when a trace is attached; untraced plans pay nothing for them.
+// allocations a compositional executor would otherwise pay per scan.
+// The Instrument stages appear only when a trace is attached; untraced
+// plans pay nothing for them.
 type ScanPipe struct {
 	cur    index.RangeCursor
 	scan   SegmentScan

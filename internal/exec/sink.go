@@ -18,7 +18,7 @@ type CollectResult struct {
 	// aliasing of iterator scratch or cache entries.
 	Cols []Column
 	// Candidates counts the kept rows before exact verification — the
-	// fused path's RangeResult.Candidates.
+	// per-tick STRQResult.Candidates summed over the span.
 	Candidates int
 	// Visited counts raw trajectories fetched by exact verification
 	// (distinct per plan, zero in approximate mode).
@@ -28,7 +28,7 @@ type CollectResult struct {
 // Collect drains in and buckets its rows per tick over [from, to]:
 // the approximate-mode sink. Sorting per tick makes the output
 // independent of cell emission order, so it is point-for-point the
-// fused path's answer.
+// per-tick STRQ answer.
 func Collect(in Iterator, from, to int) (*CollectResult, error) {
 	span := to - from + 1
 	if span < 0 {
@@ -66,9 +66,8 @@ var ErrNoRaw = fmt.Errorf("exec: exact verification requires raw dataset access"
 // ExactVerify drains in and verifies every row against raw storage,
 // batched per trajectory: rows are gathered as (id, tick) pairs, sorted
 // id-major, and each distinct trajectory is fetched exactly once for
-// all its candidate ticks — the fused path's second-step access
-// pattern, and the same Visited accounting. accesses, when non-nil, is
-// bumped once per fetch (the engine's RawAccesses counter).
+// all its candidate ticks, counted in Visited. accesses, when non-nil,
+// is bumped once per fetch (the engine's RawAccesses counter).
 func ExactVerify(ctx context.Context, in Iterator, raw RawLookup, rect geo.Rect, from, to int, accesses *atomic.Int64) (*CollectResult, error) {
 	if raw == nil {
 		return nil, ErrNoRaw

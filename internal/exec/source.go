@@ -27,8 +27,8 @@ type SegmentScan struct {
 }
 
 // NewSegmentScan opens a scan of [from, to] against idx. Stats
-// accumulate into st exactly as the fused path's index.ScanRange call
-// would (margin-rejected cells count as CellsSkipped).
+// accumulate into st as the cursor walks (margin-rejected cells count as
+// CellsSkipped).
 func NewSegmentScan(ctx context.Context, idx *index.TPI, cls Classifier, from, to int, st *index.ScanStats) *SegmentScan {
 	s := &SegmentScan{}
 	s.init(ctx, new(index.RangeCursor), idx, cls, from, to, st)

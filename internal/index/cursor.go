@@ -7,14 +7,11 @@ import (
 	"ppqtraj/internal/traj"
 )
 
-// This file is the pull-based counterpart of scan.go: a resumable cursor
-// that yields the work of ScanRange one populated cell at a time, so an
-// iterator executor can interleave decode with downstream filtering and
-// abort between cells without threading abort flags through callbacks.
-// The cursor and ScanRange share the same cell enumeration
-// (forEachCellIn) and the same per-cell decode (scanCell), so their
-// emitted postings and ScanStats accounting are identical when the
-// cursor is drained.
+// This file is the range scan's driver: a resumable cursor that yields
+// its work one populated cell at a time, so an iterator executor can
+// interleave decode with downstream filtering and abort between cells
+// without threading abort flags through callbacks. Cells are enumerated
+// by forEachCellIn and decoded by scanCell (scan.go).
 
 // forEachCellIn calls f for every populated cell of r whose coordinates
 // fall inside area's cell range: via the (X, Y)-sorted directory with
@@ -87,12 +84,11 @@ type pendingCell struct {
 	ci int32
 }
 
-// RangeCursor pulls ScanRange's work one cell at a time. Cell
+// RangeCursor pulls the range scan's work one cell at a time. Cell
 // enumeration is materialized a region at a time (directory walking
 // only — cheap); decode, cache traffic, and stats accounting happen
 // lazily per pull, so abandoning the cursor early skips the decode work
-// of every cell not pulled. A fully drained cursor produces exactly the
-// cells, postings, and ScanStats of the equivalent ScanRange call.
+// of every cell not pulled.
 type RangeCursor struct {
 	t        *TPI
 	area     geo.Rect
@@ -112,15 +108,20 @@ type RangeCursor struct {
 	// emitFn and pendFn are the per-pull and per-region callbacks, built
 	// once per cursor (they capture only c) so Next and fill allocate
 	// nothing: a pooled cursor keeps them across Resets.
-	emitFn func(tick int, ids []traj.ID) bool
+	emitFn func(tick int, ids []traj.ID)
 	pendFn func(k cellKey, ci int32) bool
 	fillRI int32 // region index pendFn is enumerating
 }
 
 // RangeCursor returns a cursor over every populated cell intersecting
 // area with postings in [from, to], across all overlapping periods.
-// The visit callback and st accounting follow the ScanRange contract;
-// both are invoked lazily as cells are pulled.
+// Cells whose per-cell tick range (first/last posting tick — the
+// cell-level zone map) cannot intersect [from, to] are skipped before
+// visit. visit, when non-nil, is called with each remaining cell's
+// rectangle before any decode; returning false skips the cell (the
+// caller's margin pruning hook). Skipped cells count in
+// st.CellsSkipped, walked ones in st.CellsScanned; both happen lazily as
+// cells are pulled.
 func (t *TPI) RangeCursor(area geo.Rect, from, to int, st *ScanStats, visit func(cell geo.Rect) bool) *RangeCursor {
 	c := &RangeCursor{}
 	c.Reset(t, area, from, to, st, visit)
@@ -136,10 +137,9 @@ func (c *RangeCursor) Reset(t *TPI, area geo.Rect, from, to int, st *ScanStats, 
 	c.pend, c.np = c.pend[:0], 0
 	c.out.Ticks, c.out.IDs = c.out.Ticks[:0], c.out.IDs[:0]
 	if c.emitFn == nil {
-		c.emitFn = func(tick int, ids []traj.ID) bool {
+		c.emitFn = func(tick int, ids []traj.ID) {
 			c.out.Ticks = append(c.out.Ticks, tick)
 			c.out.IDs = append(c.out.IDs, ids)
-			return true
 		}
 		c.pendFn = func(k cellKey, ci int32) bool {
 			c.pend = append(c.pend, pendingCell{ri: c.fillRI, k: k, ci: ci})
@@ -201,8 +201,8 @@ func (c *RangeCursor) fill() bool {
 			}
 		}
 		// Hot loop: keep the area and region index in locals so the
-		// enumeration runs at ScanRange's speed despite the cursor's
-		// state living behind a pointer.
+		// enumeration does not pay for the cursor's state living behind a
+		// pointer.
 		regions, area, ri := c.pi.Regions, c.area, c.ri
 		for ri < len(regions) {
 			r := regions[ri]

@@ -9,13 +9,13 @@ import (
 	"ppqtraj/internal/traj"
 )
 
-// This file implements the segment-native range scan: the multi-tick
-// counterpart of LookupArea. A T-tick window answered by per-tick probes
-// re-resolves the candidate cells, re-walks each cell's posting list, and
-// re-decodes (or re-fetches from the cache) T times; ScanRange resolves
-// the cells once, walks each cell's tick-sorted postings once across the
-// whole span, and decodes each tick chunk at most once — so the per-tick
-// cost collapses to the emit itself.
+// This file holds the per-cell halves of the segment-native range scan
+// that RangeCursor (cursor.go) drives: the multi-tick counterpart of
+// LookupArea. A T-tick window answered by per-tick probes re-resolves the
+// candidate cells, re-walks each cell's posting list, and re-decodes (or
+// re-fetches from the cache) T times; the cursor resolves the cells once,
+// walks each cell's tick-sorted postings once across the whole span, and
+// decodes each tick chunk at most once.
 
 // ScanStats counts the range-scan planner's per-cell work; callers
 // accumulate it into their own zone-map skip telemetry.
@@ -46,52 +46,6 @@ func (s *ScanStats) Add(o ScanStats) {
 	s.DecodeNanos += o.DecodeNanos
 }
 
-// ScanRange walks every populated cell intersecting area exactly once,
-// emitting the decoded posting list of each (cell, tick) with
-// from ≤ tick ≤ to. For each candidate cell, visit is called with the
-// cell's rectangle before any decode; returning false skips the cell
-// (the caller's margin/zone pruning hook). emit receives the ticks of one
-// cell in ascending order (ticks restart for the next cell) and returns
-// false to abort the scan; ScanRange reports whether it ran to
-// completion. Emitted slices may be shared with the decoded-cell cache
-// and must not be modified.
-//
-// Cells whose per-cell tick range (first/last posting tick — the
-// cell-level zone map) cannot intersect [from, to] are skipped before
-// visit and counted in st.CellsSkipped.
-func (pi *PI) ScanRange(area geo.Rect, from, to int, st *ScanStats, visit func(cell geo.Rect) bool, emit func(tick int, ids []traj.ID) bool) bool {
-	if to < from {
-		return true
-	}
-	for ri, r := range pi.Regions {
-		if !r.Rect.Intersects(area) {
-			continue
-		}
-		// A sealed region carries an (X, Y)-sorted cell directory: the
-		// walk (forEachCellIn, shared with RangeCursor) binary-searches
-		// each X column's band instead of hashing every candidate
-		// coordinate of the scan rectangle. Emission order across cells
-		// is unspecified either way — callers bucket per tick and sort.
-		ok := r.forEachCellIn(area, func(k cellKey, ci int32) bool {
-			c := r.cellPtr(ci)
-			if !pi.cellMayOverlap(c, from, to) {
-				st.CellsSkipped++
-				return true
-			}
-			if visit != nil && !visit(r.cellRectOf(k)) {
-				st.CellsSkipped++
-				return true
-			}
-			st.CellsScanned++
-			return pi.scanCell(int32(ri), ci, c, from, to, st, emit)
-		})
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // cellMayOverlap is the per-cell tick-range zone check: postings are
 // tick-sorted, so the first and last entries bound the cell's populated
 // span.
@@ -112,25 +66,24 @@ func (pi *PI) cellMayOverlap(c *cellData, from, to int) bool {
 // chunk at most once. With a cache attached the chunk entries are shared
 // with (and populate) the decoded-cell cache, so a later per-tick probe
 // of the same cell hits.
-func (pi *PI) scanCell(ri, ci int32, c *cellData, from, to int, st *ScanStats, emit func(tick int, ids []traj.ID) bool) bool {
+func (pi *PI) scanCell(ri, ci int32, c *cellData, from, to int, st *ScanStats, emit func(tick int, ids []traj.ID)) {
 	if !pi.sealed {
 		i := sort.Search(len(c.raw), func(i int) bool { return c.raw[i].tick >= from })
 		for ; i < len(c.raw) && c.raw[i].tick <= to; i++ {
-			if len(c.raw[i].ids) > 0 && !emit(c.raw[i].tick, c.raw[i].ids) {
-				return false
+			if len(c.raw[i].ids) > 0 {
+				emit(c.raw[i].tick, c.raw[i].ids)
 			}
 		}
-		return true
+		return
 	}
 	i := sort.Search(len(c.sealed), func(i int) bool { return int(c.sealed[i].tick) >= from })
 	if pi.cellCache == nil {
 		for ; i < len(c.sealed) && int(c.sealed[i].tick) <= to; i++ {
-			ids := pi.decodePosting(c.sealed[i])
-			if len(ids) > 0 && !emit(int(c.sealed[i].tick), ids) {
-				return false
+			if ids := pi.decodePosting(c.sealed[i]); len(ids) > 0 {
+				emit(int(c.sealed[i].tick), ids)
 			}
 		}
-		return true
+		return
 	}
 	for i < len(c.sealed) && int(c.sealed[i].tick) <= to {
 		ch := cache.Chunk(int(c.sealed[i].tick))
@@ -148,36 +101,14 @@ func (pi *PI) scanCell(ri, ci int32, c *cellData, from, to int, st *ScanStats, e
 			pi.cellCache.Put(key, d, d.cost)
 		}
 		for j := range d.ticks {
-			t := int(d.ticks[j])
-			if t < from || t > to {
-				continue
-			}
-			if len(d.ids[j]) > 0 && !emit(t, d.ids[j]) {
-				return false
+			if t := int(d.ticks[j]); t >= from && t <= to && len(d.ids[j]) > 0 {
+				emit(t, d.ids[j])
 			}
 		}
 		for i < len(c.sealed) && cache.Chunk(int(c.sealed[i].tick)) == ch {
 			i++
 		}
 	}
-	return true
-}
-
-// ScanRange runs the range scan over every period overlapping [from, to];
-// per-period spans are clipped, so each posting is visited at most once.
-// See PI.ScanRange for the callback contract.
-func (t *TPI) ScanRange(area geo.Rect, from, to int, st *ScanStats, visit func(cell geo.Rect) bool, emit func(tick int, ids []traj.ID) bool) bool {
-	for i := range t.Periods {
-		p := &t.Periods[i]
-		lo, hi := max(from, p.Start), min(to, p.End)
-		if lo > hi {
-			continue
-		}
-		if !p.PI.ScanRange(area, lo, hi, st, visit, emit) {
-			return false
-		}
-	}
-	return true
 }
 
 // CoveredTicks counts the ticks of [from, to] that fall inside some

@@ -3,7 +3,6 @@ package index
 import (
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 
 	"ppqtraj/internal/cache"
@@ -34,99 +33,6 @@ func scanTestTPI(t *testing.T, withCache bool, seal bool) *TPI {
 		}
 	}
 	return tpi
-}
-
-// collectScan runs ScanRange and folds the emitted postings into sorted,
-// deduplicated per-tick ID sets.
-func collectScan(tpi *TPI, area geo.Rect, from, to int) (map[int][]traj.ID, ScanStats) {
-	var st ScanStats
-	got := make(map[int][]traj.ID)
-	tpi.ScanRange(area, from, to, &st, nil, func(tick int, ids []traj.ID) bool {
-		got[tick] = append(got[tick], ids...)
-		return true
-	})
-	for tick, ids := range got {
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		got[tick] = traj.DedupSorted(ids)
-	}
-	return got, st
-}
-
-func TestScanRangeMatchesPerTickLookupArea(t *testing.T) {
-	for _, cfg := range []struct {
-		name            string
-		withCache, seal bool
-	}{{"raw", false, false}, {"sealed", false, true}, {"sealed+cache", true, true}} {
-		t.Run(cfg.name, func(t *testing.T) {
-			tpi := scanTestTPI(t, cfg.withCache, cfg.seal)
-			rng := rand.New(rand.NewSource(12))
-			for trial := 0; trial < 30; trial++ {
-				cx, cy := rng.Float64()*12-1, rng.Float64()*12-1
-				w := 0.3 + rng.Float64()*3
-				area := geo.Rect{MinX: cx, MinY: cy, MaxX: cx + w, MaxY: cy + w}
-				from := rng.Intn(45) - 2
-				to := from + rng.Intn(45)
-				got, _ := collectScan(tpi, area, from, to)
-				want := make(map[int][]traj.ID)
-				for tick := from; tick <= to; tick++ {
-					if ids := tpi.LookupArea(area, tick, nil); len(ids) > 0 {
-						want[tick] = ids
-					}
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("area %v span %d..%d:\nscan    %v\npertick %v", area, from, to, got, want)
-				}
-			}
-		})
-	}
-}
-
-func TestScanRangeTickRangePruning(t *testing.T) {
-	tpi := scanTestTPI(t, false, true)
-	// A span with no data at all: every populated cell is pruned by its
-	// tick range, nothing is scanned.
-	got, st := collectScan(tpi, geo.Rect{MinX: -5, MinY: -5, MaxX: 15, MaxY: 15}, 100, 140)
-	if len(got) != 0 {
-		t.Fatalf("scan past the data returned %v", got)
-	}
-	if st.CellsScanned != 0 {
-		t.Fatalf("expected zero cells scanned, got %+v", st)
-	}
-	// The early ticks live in the early periods only; scanning them must
-	// not walk cells populated exclusively later. (Cells are per period,
-	// so the late periods' regions contribute skips or nothing.)
-	_, st = collectScan(tpi, geo.Rect{MinX: -5, MinY: -5, MaxX: 15, MaxY: 15}, 3, 4)
-	if st.CellsScanned == 0 {
-		t.Fatalf("expected some cells scanned over populated ticks, got %+v", st)
-	}
-}
-
-func TestScanRangeVisitVeto(t *testing.T) {
-	tpi := scanTestTPI(t, false, true)
-	area := geo.Rect{MinX: -5, MinY: -5, MaxX: 15, MaxY: 15}
-	var st ScanStats
-	emitted := 0
-	tpi.ScanRange(area, 0, 50, &st, func(geo.Rect) bool { return false }, func(int, []traj.ID) bool {
-		emitted++
-		return true
-	})
-	if emitted != 0 || st.CellsScanned != 0 || st.CellsSkipped == 0 {
-		t.Fatalf("vetoing visit still scanned: emitted=%d stats=%+v", emitted, st)
-	}
-}
-
-func TestScanRangeAbort(t *testing.T) {
-	tpi := scanTestTPI(t, false, true)
-	area := geo.Rect{MinX: -5, MinY: -5, MaxX: 15, MaxY: 15}
-	var st ScanStats
-	emitted := 0
-	completed := tpi.ScanRange(area, 0, 50, &st, nil, func(int, []traj.ID) bool {
-		emitted++
-		return emitted < 3
-	})
-	if completed || emitted != 3 {
-		t.Fatalf("abort after 3 emits: completed=%v emitted=%d", completed, emitted)
-	}
 }
 
 func TestAppendLookupAreaReusesBuffer(t *testing.T) {

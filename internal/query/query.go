@@ -78,9 +78,9 @@ type Engine struct {
 	RawAccesses atomic.Int64
 
 	// scratch pools the per-probe search buffers (candidate and kept ID
-	// slices) and the range scan's column/pair buffers: a query-serving
-	// loop fires thousands of probes per second, and re-allocating the
-	// same transient slices per call dominated the allocation profile.
+	// slices): a query-serving loop fires thousands of probes per second,
+	// and re-allocating the same transient slices per call dominated the
+	// allocation profile.
 	scratch sync.Pool
 }
 
@@ -90,7 +90,6 @@ type Engine struct {
 type searchScratch struct {
 	cand []traj.ID
 	kept []traj.ID
-	rng  *rangeScratch // lazily created by STRQRange
 }
 
 // getScratch fetches (or creates) a scratch set.

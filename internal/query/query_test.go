@@ -408,3 +408,22 @@ func TestQueryContextCancellation(t *testing.T) {
 		t.Fatalf("background ctx should answer: %+v, %v", res, err)
 	}
 }
+
+// BenchmarkSearchRectAllocs tracks the per-probe allocation count of the
+// shared STRQ pipeline — the scratch pool keeps the steady state at the
+// result copy plus the result struct instead of fresh candidate/kept
+// slices per call.
+func BenchmarkSearchRectAllocs(b *testing.B) {
+	e, d := testEngine(b, true)
+	tr := d.Get(0)
+	p := tr.Points[0]
+	tick := tr.Start
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.STRQ(ctx, p, tick, false, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"fmt"
 
 	"ppqtraj/internal/exec"
 	"ppqtraj/internal/geo"
@@ -11,31 +10,6 @@ import (
 	"ppqtraj/internal/query"
 	"ppqtraj/internal/traj"
 )
-
-// SetExecutor switches the live window executor between the composed
-// iterator plans and the fused STRQRange pipeline. Safe under
-// concurrent queries: both executors return point-for-point identical
-// answers, so an in-flight request finishing on the old executor is
-// indistinguishable from one finishing on the new.
-func (r *Repository) SetExecutor(name string) error {
-	switch name {
-	case ExecutorFused:
-		r.execIter.Store(false)
-	case ExecutorIter:
-		r.execIter.Store(true)
-	default:
-		return fmt.Errorf("serve: unknown executor %q (want %q or %q)", name, ExecutorFused, ExecutorIter)
-	}
-	return nil
-}
-
-// Executor reports the window executor currently serving requests.
-func (r *Repository) Executor() string {
-	if r.execIter.Load() {
-		return ExecutorIter
-	}
-	return ExecutorFused
-}
 
 // planWindow builds the window query's execution plan against one
 // routing-view snapshot: the span is split at segment boundaries
@@ -67,41 +41,19 @@ func planWindow(segs []*Segment, rect geo.Rect, from, to int) (ordered, pruned [
 	return exec.Plan(scans)
 }
 
-// shardResult is the executor-independent outcome of one per-segment
-// scan, so planning, retry, telemetry, and merge are shared between the
-// fused and iterator executors. ids is the flat per-tick candidate
-// stream — the window merge sorts and deduplicates the concatenation
-// once, so shards skip per-tick bucketing entirely.
+// shardResult is the outcome of one per-segment scan. ids is the flat
+// per-tick candidate stream — the window merge sorts and deduplicates the
+// concatenation once, so shards skip per-tick bucketing entirely.
 type shardResult struct {
 	ids     []traj.ID
 	covered int
 	scan    index.ScanStats
-	// scanRows counts rows the index source emitted (iterator executor
-	// only — the fused pipeline has no operator boundary to count at).
+	// scanRows counts rows the index source emitted.
 	scanRows int64
 	// candidates counts post-margin-filter rows; visited counts distinct
 	// raw trajectories fetched in exact mode.
 	candidates int
 	visited    int
-}
-
-// runFusedShard answers one planned scan with the hand-fused STRQRange
-// pipeline — the benchmark floor, kept compiled in.
-func runFusedShard(ctx context.Context, s *Segment, rect geo.Rect, lo, hi int, exact bool) (shardResult, error) {
-	rr, err := s.Eng.STRQRange(ctx, rect, lo, hi, exact)
-	if err != nil {
-		return shardResult{}, err
-	}
-	out := shardResult{covered: rr.CoveredTicks, scan: rr.Scan, candidates: rr.Candidates, visited: rr.Visited}
-	n := 0
-	for _, c := range rr.Cols {
-		n += len(c.IDs)
-	}
-	out.ids = make([]traj.ID, 0, n)
-	for _, c := range rr.Cols {
-		out.ids = append(out.ids, c.IDs...)
-	}
-	return out, nil
 }
 
 // runIterShard answers one planned scan with a composed iterator plan
@@ -143,8 +95,8 @@ func runIterShard(ctx context.Context, s *Segment, rect geo.Rect, lo, hi int, ex
 			return out, err
 		}
 		// One cell per trajectory per tick means the flat stream is
-		// already duplicate-free per tick, so its length IS the fused
-		// path's per-tick candidate count.
+		// already duplicate-free per tick, so its length is the summed
+		// per-tick candidate count.
 		out.ids = ids
 		out.candidates = len(ids)
 	}

@@ -2,9 +2,7 @@ package serve
 
 import (
 	"context"
-	"math/rand"
-	"sync"
-	"sync/atomic"
+	"errors"
 	"testing"
 	"time"
 
@@ -48,182 +46,23 @@ type lastTickCols struct {
 	lastTick int
 }
 
-// TestExecutorEquivalenceSuite is the iterator executor's acceptance
-// suite: on every span shape of the range-scan matrix (segment-boundary
-// straddles, the sealed/hot frontier, the epoch, empty future ticks),
-// the iterator and fused executors must agree point for point with each
-// other — and, in exact mode, with brute-force ground truth. Run with
-// -race.
-func TestExecutorEquivalenceSuite(t *testing.T) {
-	repo, w := openWindowRepo(t)
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(17))
-	lastTick := w.lastTick
-	spans := [][2]int{
-		{0, lastTick},                 // whole history: every segment + hot
-		{lastTick - 12, lastTick + 5}, // straddles sealed/hot and runs past the data
-		{-10, 3},                      // straddles the epoch
-		{lastTick + 3, lastTick + 30}, // hot-only plus empty future ticks
-	}
-	for i := 0; i < 8; i++ {
-		lo := rng.Intn(lastTick + 1)
-		spans = append(spans, [2]int{lo, lo + rng.Intn(lastTick-lo+4)})
-	}
-	for _, rect := range windowRects(w.cols, 6, 29) {
-		for _, sp := range spans {
-			for _, exact := range []bool{false, true} {
-				if err := repo.SetExecutor(ExecutorIter); err != nil {
-					t.Fatal(err)
-				}
-				iter, err := repo.Window(ctx, rect, sp[0], sp[1], exact)
-				if err != nil {
-					t.Fatalf("iter Window(%v, %d..%d, exact=%v): %v", rect, sp[0], sp[1], exact, err)
-				}
-				if err := repo.SetExecutor(ExecutorFused); err != nil {
-					t.Fatal(err)
-				}
-				fused, err := repo.Window(ctx, rect, sp[0], sp[1], exact)
-				if err != nil {
-					t.Fatalf("fused Window(%v, %d..%d, exact=%v): %v", rect, sp[0], sp[1], exact, err)
-				}
-				if !sameIDs(iter.IDs, fused.IDs) {
-					t.Fatalf("rect %v span %d..%d exact=%v:\niter  %v\nfused %v",
-						rect, sp[0], sp[1], exact, iter.IDs, fused.IDs)
-				}
-				if iter.Ticks != fused.Ticks || iter.Sources != fused.Sources ||
-					iter.SegmentsSkipped != fused.SegmentsSkipped {
-					t.Fatalf("rect %v span %d..%d exact=%v: ticks %d/%d sources %d/%d skipped %d/%d",
-						rect, sp[0], sp[1], exact, iter.Ticks, fused.Ticks,
-						iter.Sources, fused.Sources, iter.SegmentsSkipped, fused.SegmentsSkipped)
-				}
-				if exact {
-					truth := bruteWindow(w.cols, rect, sp[0], sp[1])
-					if !sameIDs(iter.IDs, truth) {
-						t.Fatalf("rect %v span %d..%d: iter exact %v vs ground truth %v",
-							rect, sp[0], sp[1], iter.IDs, truth)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestExecutorRacingCompaction runs exact iterator-executor windows
-// concurrently with live ingestion and compaction, while another
-// goroutine flips the live executor back and forth: every answer over
-// the fully ingested prefix must equal brute-force ground truth no
-// matter where the sealed watermark lands mid-request (the mid-plan
-// watermark re-plan) or which executor a request starts under. Run with
-// -race.
-func TestExecutorRacingCompaction(t *testing.T) {
-	d, cols := testData(t)
-	opts := testOptions(d)
-	repo, err := Open(opts) // fast CompactInterval: compactor races for real
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer repo.Close()
-
-	rects := windowRects(cols, 4, 61)
-	var ingested atomic.Int64
-	ingested.Store(-1)
-	var done atomic.Bool
-	var wg sync.WaitGroup
-	errCh := make(chan error, 5)
-	// The flipper: SetExecutor must be safe under concurrent queries.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; !done.Load(); i++ {
-			name := ExecutorIter
-			if i%2 == 1 {
-				name = ExecutorFused
-			}
-			if err := repo.SetExecutor(name); err != nil {
-				errCh <- err
-				return
-			}
-			time.Sleep(200 * time.Microsecond)
-		}
-	}()
-	for wk := 0; wk < 4; wk++ {
-		wg.Add(1)
-		go func(wk int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(90 + wk)))
-			for !done.Load() {
-				hi := ingested.Load()
-				if hi < 1 {
-					continue
-				}
-				to := cols[rng.Intn(int(hi))].Tick
-				from := to - rng.Intn(20)
-				rect := rects[rng.Intn(len(rects))]
-				res, err := repo.Window(context.Background(), rect, from, to, true)
-				if err != nil {
-					errCh <- err
-					return
-				}
-				if want := bruteWindow(cols, rect, from, to); !sameIDs(res.IDs, want) {
-					errCh <- errMismatch(rect, from, to, res.IDs, want)
-					return
-				}
-			}
-		}(wk)
-	}
-	for i, col := range cols {
-		if err := repo.IngestColumn(col); err != nil {
-			t.Fatal(err)
-		}
-		ingested.Store(int64(i))
-		if i%7 == 0 {
-			time.Sleep(time.Millisecond) // let the compactor overlap queries
-		}
-	}
-	if err := repo.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	done.Store(true)
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		t.Fatal(err)
-	default:
-	}
-}
-
-// TestExecutorPlanTelemetry checks the iterator executor's plan
-// accounting: zone-pruned segments are counted once per plan, Plans and
-// Operators land in the stats window section, and the fused executor
-// records none of it.
+// TestExecutorPlanTelemetry checks the window plan accounting:
+// zone-pruned segments are counted once per plan, and Plans and Operators
+// land in the stats window section.
 func TestExecutorPlanTelemetry(t *testing.T) {
 	repo, w := openWindowRepo(t)
 	ctx := context.Background()
 	offData := windowRects(w.cols, 0, 1)[0] // only the far-away rect
 
-	if err := repo.SetExecutor(ExecutorFused); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := repo.Window(ctx, offData, 0, w.lastTick, false); err != nil {
-		t.Fatal(err)
-	}
-	st := repo.Stats().Window
-	if st.Plans != 0 || st.Operators != 0 {
-		t.Fatalf("fused executor recorded exec telemetry: %+v", st)
-	}
-	if st.SegmentsSkipped == 0 {
-		t.Fatalf("far-away rect not zone-pruned under fused: %+v", st)
-	}
-
-	if err := repo.SetExecutor(ExecutorIter); err != nil {
-		t.Fatal(err)
-	}
 	before := repo.Stats().Window
 	res, err := repo.Window(ctx, offData, 0, w.lastTick, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	after := repo.Stats().Window
+	if res.SegmentsSkipped == 0 {
+		t.Fatalf("far-away rect not zone-pruned: %+v", res)
+	}
 	if got := after.Plans - before.Plans; got != 1 {
 		t.Fatalf("one window = one plan, got %d", got)
 	}
@@ -241,55 +80,19 @@ func TestExecutorPlanTelemetry(t *testing.T) {
 	}
 }
 
-// TestExecutorCancellation checks a cancelled context aborts an
-// iterator-executor window with the context error, same as fused.
+// TestExecutorCancellation checks a cancelled context aborts a window
+// with the context error.
 func TestExecutorCancellation(t *testing.T) {
 	repo, w := openWindowRepo(t)
-	for _, name := range []string{ExecutorIter, ExecutorFused} {
-		if err := repo.SetExecutor(name); err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		if _, err := repo.Window(ctx, windowRects(w.cols, 1, 5)[0], 0, w.lastTick, false); err == nil {
-			t.Fatalf("%s: cancelled window returned no error", name)
-		}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := repo.Window(ctx, windowRects(w.cols, 1, 5)[0], 0, w.lastTick, false); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled window: err = %v, want context.Canceled", err)
 	}
 }
 
-// TestExecutorOptionValidation covers the Options/SetExecutor contract:
-// empty defaults to iter, junk is rejected, and the live setting is
-// reported back.
-func TestExecutorOptionValidation(t *testing.T) {
-	d, _ := testData(t)
-	opts := testOptions(d)
-	opts.Executor = "vectorized"
-	if _, err := Open(opts); err == nil {
-		t.Fatal("unknown executor accepted at Open")
-	}
-	opts.Executor = ExecutorFused
-	repo, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer repo.Close()
-	if got := repo.Executor(); got != ExecutorFused {
-		t.Fatalf("Executor() = %q, want fused", got)
-	}
-	if err := repo.SetExecutor("vectorized"); err == nil {
-		t.Fatal("unknown executor accepted at SetExecutor")
-	}
-	if err := repo.SetExecutor(ExecutorIter); err != nil {
-		t.Fatal(err)
-	}
-	if got := repo.Executor(); got != ExecutorIter {
-		t.Fatalf("Executor() = %q, want iter", got)
-	}
-}
-
-// BenchmarkWindowExecutors times both executors on one warmed
-// repository, for profiling the iterator layer against the fused floor.
-func BenchmarkWindowExecutors(b *testing.B) {
+// BenchmarkWindow times the window executor on one warmed repository.
+func BenchmarkWindow(b *testing.B) {
 	d, cols := testData(b)
 	opts := testOptions(d)
 	opts.CompactInterval = time.Hour
@@ -309,18 +112,12 @@ func BenchmarkWindowExecutors(b *testing.B) {
 	lastTick := cols[len(cols)-1].Tick
 	rects := windowRects(cols, 8, 13)
 	ctx := context.Background()
-	for _, name := range []string{ExecutorFused, ExecutorIter} {
-		b.Run(name, func(b *testing.B) {
-			if err := repo.SetExecutor(name); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				rect := rects[i%len(rects)]
-				if _, err := repo.Window(ctx, rect, 0, lastTick, false); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rect := rects[i%len(rects)]
+		if _, err := repo.Window(ctx, rect, 0, lastTick, false); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

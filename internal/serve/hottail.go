@@ -28,9 +28,11 @@ func (c *hotCol) find(id traj.ID) (int, bool) {
 
 // hotTail is the repository's mutable tier: freshly ingested points kept
 // raw (exact, no quantization) and directly queryable, until the
-// compactor drains them into a sealed segment. All methods are
-// self-synchronized; queries take the read lock, ingest and trim the
-// write lock.
+// compactor drains them into a sealed segment. mu also guards the
+// repository's routing view (see Repository), so the query methods
+// (strqRect, scanRange, path) and trim run under a lock their caller
+// holds — the same section that reads or publishes the view. The other
+// methods lock for themselves.
 type hotTail struct {
 	mu       sync.RWMutex
 	cols     map[int]*hotCol
@@ -151,13 +153,6 @@ func (c *hotColSort) Swap(i, j int) {
 	c.pts[i], c.pts[j] = c.pts[j], c.pts[i]
 }
 
-// numPoints returns the live point count.
-func (h *hotTail) numPoints() int {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.points
-}
-
 // tickSpan returns the min/max resident tick (ok=false when empty).
 func (h *hotTail) tickSpan() (lo, hi int, ok bool) {
 	h.mu.RLock()
@@ -211,10 +206,8 @@ func (h *hotTail) snapshot(bound int) []*traj.Column {
 // sealed segment), along with the lastSeen entries that can no longer
 // influence admission — the contiguity check only consults entries above
 // the floor, so keeping older ones would just leak memory as the ID
-// population rotates.
+// population rotates. The caller holds h.mu for writing.
 func (h *hotTail) trim(bound int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	for t, c := range h.cols {
 		if t <= bound {
 			h.points -= len(c.ids)
@@ -231,10 +224,8 @@ func (h *hotTail) trim(bound int) {
 // strqRect answers the exact rectangle query over raw hot points: IDs
 // whose ingested position at tick lies inside rect. Hot data is
 // unquantized, so approximate and exact mode coincide and both have
-// precision and recall 1.
+// precision and recall 1. The caller holds h.mu.
 func (h *hotTail) strqRect(rect geo.Rect, tick int) (ids []traj.ID, covered bool) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
 	col := h.cols[tick]
 	if col == nil {
 		return nil, false
@@ -254,15 +245,13 @@ type hotScanCol struct {
 }
 
 // scanRange answers the exact rectangle query for every resident tick of
-// [from, to] under a single read lock — the hot half of the repository's
-// window executor. It returns the non-empty per-tick matches (IDs
-// ascending, fresh slices), the number of resident ticks probed (the
-// Covered count a per-tick loop would have seen), and whether the span
-// overlapped the tail's resident tick range at all (the planner's
-// "sources" accounting, which counts overlap, not residency).
+// [from, to] — the hot half of the repository's window executor. It
+// returns the non-empty per-tick matches (IDs ascending, fresh slices),
+// the number of resident ticks probed (the Covered count a per-tick loop
+// would have seen), and whether the span overlapped the tail's resident
+// tick range at all (the planner's "sources" accounting, which counts
+// overlap, not residency). The caller holds h.mu.
 func (h *hotTail) scanRange(rect geo.Rect, from, to int) (cols []hotScanCol, covered int, overlaps bool) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
 	lo, hi, ok := h.tickSpanLocked()
 	if !ok {
 		return nil, 0, false
@@ -288,27 +277,11 @@ func (h *hotTail) scanRange(rect geo.Rect, from, to int) (cols []hotScanCol, cov
 	return cols, covered, overlaps
 }
 
-// pointAt returns the raw position of id at tick, if resident.
-func (h *hotTail) pointAt(id traj.ID, tick int) (geo.Point, bool) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	col := h.cols[tick]
-	if col == nil {
-		return geo.Point{}, false
-	}
-	i, ok := col.find(id)
-	if !ok {
-		return geo.Point{}, false
-	}
-	return col.pts[i], true
-}
-
 // path collects id's raw positions over ticks [from, from+l), in tick
 // order, stopping at the first tick where the trajectory is absent after
 // having been present (positions are contiguous by the ingest contract).
+// The caller holds h.mu.
 func (h *hotTail) path(id traj.ID, from, l int) (pts []geo.Point, start int) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
 	start = from
 	for t := from; t < from+l; t++ {
 		col := h.cols[t]

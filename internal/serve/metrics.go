@@ -110,7 +110,11 @@ func newRepoMetrics(reg *obs.Registry) *repoMetrics {
 // zeros. Must run after r's fields are in place.
 func (r *Repository) registerSources() {
 	r.met.reg.Source(func(emit func(obs.Sample)) {
-		segs, sealed := r.view()
+		// One read section, so sealed and hot points always add up to the
+		// ingested total between compactions.
+		r.hot.mu.RLock()
+		segs, sealed, hotPts := r.segs, r.sealedThrough, r.hot.points
+		r.hot.mu.RUnlock()
 		var segPts, rawAcc, disk int64
 		for _, s := range segs {
 			segPts += int64(s.Points)
@@ -125,7 +129,7 @@ func (r *Repository) registerSources() {
 		}
 		gauge("ppq_segments", "Published sealed segments.", float64(len(segs)))
 		gauge("ppq_segment_points", "Points resident in sealed segments.", float64(segPts))
-		gauge("ppq_hot_points", "Points resident in the raw hot tail.", float64(r.hot.numPoints()))
+		gauge("ppq_hot_points", "Points resident in the raw hot tail.", float64(hotPts))
 		gauge("ppq_sealed_through", "Highest tick served by sealed segments (-1 = none).", float64(sealed))
 		gauge("ppq_disk_bytes", "Bytes of sealed segment files on disk.", float64(disk))
 		counter("ppq_raw_accesses_total", "Exact-mode raw storage verifications.", float64(rawAcc))

@@ -121,13 +121,6 @@ type Options struct {
 	// wall time meets or exceeds it emits one structured JSON log line
 	// with its full per-stage breakdown. 0 disables the slow-query log.
 	SlowQuery time.Duration
-	// Executor selects the window executor: ExecutorIter (the default)
-	// runs composed internal/exec iterator plans; ExecutorFused runs the
-	// hand-fused STRQRange pipeline, kept compiled in as the benchmark
-	// floor and transition escape hatch. Both produce point-for-point
-	// identical answers (the equivalence suite enforces it); SetExecutor
-	// switches a live repository.
-	Executor string
 	// ReplicateFrom, when non-empty, runs this repository as a follower
 	// replica of the primary at the given base URL (e.g.
 	// "http://10.0.0.1:8080"): a background applier streams the primary's
@@ -155,12 +148,6 @@ type Options struct {
 	// alone protect followers).
 	WALRetainSegments int
 }
-
-// Window executor names accepted by Options.Executor and SetExecutor.
-const (
-	ExecutorFused = "fused"
-	ExecutorIter  = "iter"
-)
 
 // DefaultCacheBytes is the decoded-cell cache budget used when
 // Options.CacheBytes is 0.
@@ -212,13 +199,6 @@ func (o Options) withDefaults() (Options, error) {
 	if o.Log == nil {
 		o.Log = obs.NewLogger(os.Stderr, obs.LevelInfo, obs.FormatText)
 	}
-	switch o.Executor {
-	case "":
-		o.Executor = ExecutorIter
-	case ExecutorFused, ExecutorIter:
-	default:
-		return o, fmt.Errorf("serve: unknown executor %q (want %q or %q)", o.Executor, ExecutorFused, ExecutorIter)
-	}
 	return o, nil
 }
 
@@ -253,11 +233,13 @@ const (
 type Repository struct {
 	opts Options
 
-	mu            sync.RWMutex // guards segs + sealedThrough (the routing view)
-	segs          []*Segment   // ascending, disjoint tick ranges
-	sealedThrough int          // ticks ≤ this are served by segments
-
-	hot *hotTail
+	// hot.mu guards the routing view (segs, sealedThrough) together with
+	// the hot columns, so publishing a segment and trimming the ticks it
+	// covers is one write section, and one read section sees every tick in
+	// exactly one tier. Lock order: compactMu → hot.mu.
+	hot           *hotTail
+	segs          []*Segment // ascending, disjoint tick ranges
+	sealedThrough int        // ticks ≤ this are served by segments
 
 	// wal is the hot tail's write-ahead log (nil when the repository is
 	// memory-only): every ingest is appended before the tail mutates, so
@@ -295,12 +277,6 @@ type Repository struct {
 	// draining flips when shutdown starts: /readyz reports 503 so load
 	// balancers stop routing while in-flight requests finish.
 	draining atomic.Bool
-
-	// execIter selects the live window executor (true = iterator plans,
-	// false = fused STRQRange). Atomic so SetExecutor can flip it under
-	// concurrent queries — both executors answer identically, so a
-	// mid-stream flip is safe.
-	execIter atomic.Bool
 
 	// Replication. shipper serves /v1/repl/stream on any persistent
 	// repository; the rest is live only in follower mode
@@ -347,7 +323,6 @@ func Open(opts Options) (*Repository, error) {
 		met:           newRepoMetrics(opts.Metrics),
 		log:           opts.Log,
 	}
-	r.execIter.Store(opts.Executor == ExecutorIter)
 	obs.RegisterRuntime(r.met.reg)
 	if opts.CacheBytes > 0 {
 		r.cells = cache.New(opts.CacheBytes)
@@ -544,21 +519,20 @@ func (r *Repository) loadManifest() error {
 }
 
 // writeManifest swaps in a fresh manifest reflecting the current sealed
-// view. Callers hold compactMu; the segment list is read under mu.
+// view. Callers hold compactMu.
 func (r *Repository) writeManifest() error {
-	r.mu.RLock()
+	segs, sealed := r.view()
 	m := manifest{
 		Version:       manifestVersion,
 		NextSegmentID: r.nextSegID,
-		SealedThrough: r.sealedThrough,
+		SealedThrough: sealed,
 	}
-	for _, s := range r.segs {
+	for _, s := range segs {
 		m.Segments = append(m.Segments, manifestSegment{
 			ID: s.ID, File: s.File,
 			StartTick: s.StartTick, EndTick: s.EndTick, Points: s.Points,
 		})
 	}
-	r.mu.RUnlock()
 	blob, err := json.MarshalIndent(&m, "", "  ")
 	if err != nil {
 		return err
@@ -822,9 +796,9 @@ func (r *Repository) compactLoop() {
 // force, everything goes; otherwise the freshest KeepHotTicks stay hot
 // and the run is skipped entirely when the tail is below the HotTicks
 // threshold. The build runs without any repository lock — queries and
-// ingest proceed throughout — and the new segment is published atomically
-// before the hot tail is trimmed, so every point stays queryable at every
-// instant.
+// ingest proceed throughout — and publish makes the new segment visible
+// and trims the hot ticks it covers in one write section, so every point
+// stays queryable at every instant, in exactly one tier.
 func (r *Repository) compactOnce(force bool) error {
 	r.compactMu.Lock()
 	defer r.compactMu.Unlock()
@@ -878,14 +852,7 @@ func (r *Repository) compactOnce(force bool) error {
 			}
 		}
 		r.nextSegID = id + 1
-
-		// Publish: segment visible and routing watermark advanced in one
-		// critical section, then the (now shadowed) hot columns dropped.
-		r.mu.Lock()
-		r.segs = append(r.segs, seg)
-		r.sealedThrough = chunkEnd
-		r.mu.Unlock()
-		r.hot.trim(chunkEnd)
+		r.publish(seg, chunkEnd)
 
 		r.met.compactions.Inc()
 		r.met.compactedPoints.Add(int64(seg.Points))
@@ -901,13 +868,14 @@ func (r *Repository) compactOnce(force bool) error {
 	// the common case the last chunk ends exactly at bound and its
 	// writeManifest above already published this watermark — rewriting a
 	// byte-identical manifest would cost two more fsyncs per compaction.
-	r.mu.Lock()
-	advanced := bound > r.sealedThrough
+	// Only the compactor advances the watermark, so the read below cannot
+	// go stale before the publish.
+	_, sealed := r.view()
+	advanced := bound > sealed
 	if advanced {
-		r.sealedThrough = bound
+		r.publish(nil, bound)
+		sealed = bound
 	}
-	sealed := r.sealedThrough
-	r.mu.Unlock()
 	if r.opts.Dir != "" {
 		if advanced {
 			if err := r.writeManifest(); err != nil {
@@ -924,12 +892,27 @@ func (r *Repository) compactOnce(force bool) error {
 	return nil
 }
 
+// publish appends seg (nil for none) to the sealed tier, advances the
+// sealed watermark to through, and trims the hot ticks it now covers, in
+// one hot-tail write section: no reader can see the new watermark without
+// the segment, or the old view after its hot ticks are gone.
+func (r *Repository) publish(seg *Segment, through int) {
+	r.hot.mu.Lock()
+	defer r.hot.mu.Unlock()
+	if seg != nil {
+		r.segs = append(r.segs, seg)
+	}
+	r.sealedThrough = through
+	r.hot.trim(through)
+}
+
 // view snapshots the routing state: the published segment list and the
 // sealed watermark. Segments are immutable, so the caller can query them
-// lock-free afterwards.
+// lock-free afterwards. A reader that also needs hot-tail data takes both
+// in one hot.mu read section instead.
 func (r *Repository) view() (segs []*Segment, sealedThrough int) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
+	r.hot.mu.RLock()
+	defer r.hot.mu.RUnlock()
 	return r.segs, r.sealedThrough
 }
 
@@ -1012,48 +995,44 @@ type STRQAnswer struct {
 }
 
 // strqTick routes one rectangle probe to the tier owning the tick. The
-// loop closes the publish race: a tick the routing view calls hot may be
-// trimmed by a concurrent compaction before the hot probe runs, in which
-// case the watermark has necessarily advanced and the retry lands on the
-// freshly published segment.
-func (r *Repository) strqTick(ctx context.Context, cell geo.Rect, tick int, exact bool) (ans STRQAnswer, err error) {
-	ans = STRQAnswer{Tick: tick, Cell: cell, Source: "none"}
-	for {
-		if err := ctx.Err(); err != nil {
-			return ans, err
-		}
-		segs, sealed := r.view()
-		if tick <= sealed {
-			seg := findSegment(segs, tick)
-			if seg == nil {
-				return ans, nil
-			}
-			res, err := seg.Eng.STRQRect(ctx, cell, tick, exact, nil)
-			if err != nil {
-				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-					return ans, err
-				}
-				return ans, fmt.Errorf("serve: segment %d: %w", seg.ID, err)
-			}
-			ans.Covered = res.Covered
-			ans.IDs = res.IDs
-			ans.Candidates = res.Candidates
-			ans.Visited = res.Visited
-			ans.Source = fmt.Sprintf("segment:%d", seg.ID)
-			return ans, nil
-		}
+// routing view and the hot probe share one hot-tail read section, so a
+// tick above the watermark is still resident when the probe reads it.
+func (r *Repository) strqTick(ctx context.Context, cell geo.Rect, tick int, exact bool) (STRQAnswer, error) {
+	ans := STRQAnswer{Tick: tick, Cell: cell, Source: "none"}
+	if err := ctx.Err(); err != nil {
+		return ans, err
+	}
+	r.hot.mu.RLock()
+	segs, sealed := r.segs, r.sealedThrough
+	if tick > sealed {
 		ids, covered := r.hot.strqRect(cell, tick)
+		r.hot.mu.RUnlock()
 		if covered {
 			ans.Covered = true
 			ans.IDs = ids
 			ans.Candidates = len(ids)
 			ans.Source = "hot"
-			return ans, nil
 		}
-		if _, sealed2 := r.view(); sealed2 == sealed {
-			return ans, nil // genuinely no data at this tick
-		}
+		return ans, nil
 	}
+	r.hot.mu.RUnlock()
+	seg := findSegment(segs, tick)
+	if seg == nil {
+		return ans, nil
+	}
+	res, err := seg.Eng.STRQRect(ctx, cell, tick, exact, nil)
+	if err != nil {
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			return ans, err
+		}
+		return ans, fmt.Errorf("serve: segment %d: %w", seg.ID, err)
+	}
+	ans.Covered = res.Covered
+	ans.IDs = res.IDs
+	ans.Candidates = res.Candidates
+	ans.Visited = res.Visited
+	ans.Source = fmt.Sprintf("segment:%d", seg.ID)
+	return ans, nil
 }
 
 // STRQ answers "who was in the query cell of p at tick". Ticks at or
@@ -1127,40 +1106,37 @@ func (r *Repository) Batch(ctx context.Context, reqs []STRQRequest) []STRQAnswer
 // Path reconstructs trajectory id over ticks [from, from+l), stitching
 // the answer across every sealed segment it spans plus the hot tail.
 // Sealed ranges return the quantized reconstruction (deviation ≤ the
-// summary's bound); hot ranges return raw points. Cancellation is
-// best-effort: a done context stops the stitching walk and returns the
+// summary's bound); hot ranges return raw points. The routing view and
+// the hot residual come from one hot-tail read section, so a concurrent
+// compaction cannot move ticks out from under the stitch. Cancellation
+// is best-effort: a done context stops the stitching walk and returns the
 // (possibly partial) path built so far — callers that must surface the
 // cancellation check ctx.Err() themselves, as STRQ does.
 func (r *Repository) Path(ctx context.Context, id traj.ID, from, l int) Path {
-	for {
-		segs, sealed := r.view()
-		out := r.pathFrom(segs, sealed, id, from, l)
-		// A compaction that published mid-walk may have trimmed hot ticks
-		// the walk still expected; the moved watermark flags it.
-		if ctx.Err() != nil {
-			return out
-		}
-		if _, sealed2 := r.view(); sealed2 == sealed || len(out.Points) >= l {
-			return out
-		}
+	end := from + l
+	r.hot.mu.RLock()
+	segs, sealed := r.segs, r.sealedThrough
+	hotFrom := max(from, sealed+1)
+	var hotPts []geo.Point
+	hotStart := hotFrom
+	if hotFrom < end {
+		hotPts, hotStart = r.hot.path(id, hotFrom, end-hotFrom)
 	}
-}
+	r.hot.mu.RUnlock()
 
-// pathFrom is one stitching pass over a fixed routing view. The walk
-// shares the window planner's span splitter (exec.SplitSpan), so the
-// two layers agree on segment-boundary clipping by construction.
-func (r *Repository) pathFrom(segs []*Segment, sealed int, id traj.ID, from, l int) Path {
+	// The sealed walk shares the window planner's span splitter
+	// (exec.SplitSpan), so the two layers agree on segment-boundary
+	// clipping by construction.
 	out := Path{Start: from}
 	started := false
 	gap := false
 	cursor := from
-	end := from + l
 	exec.SplitSpan(from, end-1, len(segs), func(i int) exec.TickRange {
 		return exec.TickRange{Lo: segs[i].StartTick, Hi: segs[i].EndTick}
 	}, func(i int, sub exec.TickRange) {
 		// A segment entirely behind the stitch cursor (or any segment
 		// once the path is complete or broken) contributes nothing.
-		if gap || cursor >= end || sub.Hi < cursor {
+		if gap || cursor >= end || sub.Hi < cursor || ctx.Err() != nil {
 			return
 		}
 		pts, st := segs[i].reconstructedPath(id, cursor, end-cursor)
@@ -1177,23 +1153,16 @@ func (r *Repository) pathFrom(segs []*Segment, sealed int, id traj.ID, from, l i
 		out.Points = append(out.Points, pts...)
 		cursor = st + len(pts)
 	})
-	if gap {
+	// The hot residual continues the path only where the sealed walk
+	// reached the watermark, or starts it where the walk found nothing.
+	if gap || len(hotPts) == 0 || started && cursor <= sealed || ctx.Err() != nil {
 		return out
 	}
-	if cursor < end && cursor > sealed || !started {
-		hotFrom := cursor
-		if hotFrom <= sealed {
-			hotFrom = sealed + 1
-		}
-		pts, st := r.hot.path(id, hotFrom, end-hotFrom)
-		if len(pts) > 0 {
-			if !started {
-				out.Start = st
-				out.Points = pts
-			} else if st == out.Start+len(out.Points) {
-				out.Points = append(out.Points, pts...)
-			}
-		}
+	if !started {
+		out.Start = hotStart
+		out.Points = hotPts
+	} else if hotStart == out.Start+len(out.Points) {
+		out.Points = append(out.Points, hotPts...)
 	}
 	return out
 }
@@ -1216,19 +1185,17 @@ type WindowResult struct {
 	AsOfTick int64 `json:"as_of_tick"`
 }
 
-// Window answers the window query with the segment-native range executor:
-// the span is split at segment boundaries, segments whose zone map cannot
-// intersect the query's local-search area are skipped outright, one
-// STRQRange per surviving segment walks its postings once for the whole
-// sub-span (fanned out on the bounded worker pool), the hot tail is
-// scanned under a single lock for the residual span above the sealed
-// watermark, and the per-tick columns are merged in tick order. The
-// routing view is snapshotted once per request; if a compaction moves the
-// sealed watermark mid-flight, the request re-plans against the new view,
-// so the answer always reflects one consistent snapshot. Answers are
-// point-for-point identical to the per-tick reference path
-// (WindowPerTick); a cancelled or expired context aborts the scatter and
-// returns the context error.
+// Window answers the window query with internal/exec iterator plans. One
+// hot-tail read section snapshots the routing view and scans the hot
+// residual above its sealed watermark. Then the span is split at segment
+// boundaries, segments whose zone map cannot intersect the query's
+// local-search area are skipped outright, one plan per surviving segment
+// walks its postings once for the whole sub-span (fanned out on the
+// bounded worker pool), and the IDs are merged. Compaction publishes a
+// segment and trims its hot ticks in one write section, so that single
+// view holds every tick exactly once and the request never re-plans. A
+// cancelled or expired context aborts the scatter and returns the
+// context error.
 func (r *Repository) Window(ctx context.Context, rect geo.Rect, from, to int, exact bool) (*WindowResult, error) {
 	// Counted at entry like STRQ, so query_errors can never exceed
 	// queries in the stats.
@@ -1247,328 +1214,136 @@ func (r *Repository) Window(ctx context.Context, rect geo.Rect, from, to int, ex
 	return res, nil
 }
 
-// maxWindowReplans bounds how many times windowRange restarts after the
-// sealed watermark moved mid-execution before handing the request to the
-// per-tick executor (whose per-probe routing tolerates a moving
-// watermark): without the cap, a wide window on a server whose
-// compactions outpace the scan could re-run its whole fan-out forever.
-const maxWindowReplans = 3
-
-// windowRange is Window's planner and executor. It retries from scratch
-// when the sealed watermark moves during execution: ticks the plan
-// expected in the hot tail may have been compacted (and trimmed) under
-// it, and the freshly published segment is the only tier still serving
-// them. Retries are rare (one per compaction at most) and capped.
+// windowRange is Window's planner and executor.
 func (r *Repository) windowRange(ctx context.Context, rect geo.Rect, from, to int, exact bool) (*WindowResult, error) {
 	tr := obs.TraceFrom(ctx)
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		segs, sealed := r.view()
-
-		// Greedy statistics-free plan: split the span at segment
-		// boundaries, score each sub-span by zone-map selectivity
-		// (populated-cell overlap × tick-span overlap), prune scans the
-		// zone map proves empty, and order the rest largest first so the
-		// parallel fan-out's tail stays short.
-		ordered, pruned := planWindow(segs, rect, from, to)
-		sources := len(ordered) + len(pruned)
-		skipped := len(pruned)
-		skippedTicks := 0
-		for _, p := range pruned {
-			skippedTicks += segs[p.ID].Eng.Idx.CoveredTicks(p.Span.Lo, p.Span.Hi)
-		}
-		useIter := r.execIter.Load()
-		tr.Lap("plan")
-
-		// One scan per surviving segment, on the same bounded pool Batch
-		// uses — a wide window over a long-lived repository can overlap
-		// hundreds of segments. Both executors fill the same shardResult
-		// shape, so retry, telemetry, and merge below are shared.
-		results := make([]shardResult, len(ordered))
-		errs := make([]error, len(ordered))
-		if err := par.ForCtx(ctx, par.Workers(r.opts.Workers), len(ordered), 1, func(ctx context.Context, _, wlo, whi int) {
-			for i := wlo; i < whi; i++ {
-				sc := ordered[i]
-				if useIter {
-					results[i], errs[i] = runIterShard(ctx, segs[sc.ID], rect, sc.Span.Lo, sc.Span.Hi, exact, tr)
-				} else {
-					results[i], errs[i] = runFusedShard(ctx, segs[sc.ID], rect, sc.Span.Lo, sc.Span.Hi, exact)
-				}
-			}
-		}); err != nil {
-			return nil, err
-		}
-		for i, err := range errs {
-			if err != nil {
-				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-					return nil, err
-				}
-				return nil, fmt.Errorf("serve: segment %d: %w", segs[ordered[i].ID].ID, err)
-			}
-		}
-		tr.Lap("segment_scan")
-
-		// Hot residual: only ticks above the snapshot's watermark, under
-		// a single hot-tail lock. Hot points are raw, so approximate and
-		// exact mode coincide.
-		var (
-			hotIDs     []traj.ID
-			hotCovered int
-			hotScanned bool
-		)
-		if to > sealed {
-			cols, covered, hotOverlaps := r.hot.scanRange(rect, max(from, sealed+1), to)
-			hotCovered = covered
-			if hotOverlaps {
-				sources++
-			}
-			if useIter {
-				var err error
-				if hotIDs, err = runIterHot(ctx, cols, max(from, sealed+1), to, tr); err != nil {
-					return nil, err
-				}
-				hotScanned = hotOverlaps
-			} else {
-				for _, c := range cols {
-					hotIDs = append(hotIDs, c.ids...)
-				}
-			}
-		}
-		tr.Lap("hot_scan")
-
-		// A watermark move during execution means some planned-hot ticks
-		// may have migrated to a segment after the hot scan read (or
-		// missed) them — re-plan against the new view. Segments are
-		// immutable and the watermark only advances, so a stable
-		// comparison proves the executed plan covered every tick. Past
-		// the replan cap, the per-tick executor finishes the request: its
-		// per-probe routing re-routes freshly sealed ticks on the fly.
-		if _, sealed2 := r.view(); sealed2 != sealed {
-			if attempt+1 < maxWindowReplans {
-				continue
-			}
-			return r.windowPerTickScan(ctx, rect, from, to, exact)
-		}
-
-		// Telemetry lands only for the attempt that survived the
-		// watermark recheck, so a re-planned request counts once.
-		r.met.winSegsScanned.Add(int64(len(ordered)))
-		r.met.winSegsSkipped.Add(int64(skipped))
-		tr.Add("segments_scanned", int64(len(ordered)))
-		tr.Add("segments_skipped", int64(skipped))
-
-		// Merge: flatten every column and sort-dedup once. Columns are
-		// per-tick ID sets, so the flat list is mostly runs of near-equal
-		// values — a single sort beats per-ID map inserts by a wide
-		// margin at window scale.
-		probed := skippedTicks + hotCovered
-		total := len(hotIDs)
-		var scan index.ScanStats
-		var scanRows, verifyRows int64
-		for i := range results {
-			rr := &results[i]
-			probed += rr.covered
-			scan.Add(rr.scan)
-			scanRows += rr.scanRows
-			verifyRows += int64(rr.candidates)
-			total += len(rr.ids)
-		}
-		r.met.winCellsScanned.Add(int64(scan.CellsScanned))
-		r.met.winCellsSkipped.Add(int64(scan.CellsSkipped))
-		tr.Add("cells_scanned", int64(scan.CellsScanned))
-		tr.Add("cells_skipped", int64(scan.CellsSkipped))
-		tr.Add("cache_hits", int64(scan.CacheHits))
-		tr.Add("cache_misses", int64(scan.CacheMisses))
-		tr.Add("bytes_decoded", scan.DecodedBytes)
-		tr.Add("decode_us", scan.DecodeNanos/1e3)
-		tr.Add("ticks_probed", int64(probed))
-		flat := make([]traj.ID, 0, total)
-		for i := range results {
-			flat = append(flat, results[i].ids...)
-		}
-		flat = append(flat, hotIDs...)
-		slices.Sort(flat)
-		res := &WindowResult{From: from, To: to, Ticks: probed, Sources: sources, SegmentsSkipped: skipped}
-		if len(flat) > 0 { // nil, not empty-but-allocated, keeps the JSON stable
-			res.IDs = traj.DedupSorted(flat)
-		}
-		tr.Lap("merge")
-
-		// Executor telemetry, recorded only for iterator plans (the
-		// fused pipeline has no operator boundaries to count at): one
-		// plan, its operator count, and per-operator emitted-row
-		// aggregates (scan, verify, hot, merge).
-		if useIter {
-			operators := int64(len(ordered)) * 2 // scan + verify per shard
-			if exact {
-				operators += int64(len(ordered)) // exact-verify sink
-			}
-			if hotScanned {
-				operators++
-			}
-			operators++ // the final merge
-			r.met.execPlans.Inc()
-			r.met.execOperators.Add(operators)
-			r.met.execOpsPerPlan.Observe(float64(operators))
-			r.met.execOpRows.Observe(float64(scanRows))
-			r.met.execOpRows.Observe(float64(verifyRows))
-			if hotScanned {
-				r.met.execOpRows.Observe(float64(len(hotIDs)))
-			}
-			r.met.execOpRows.Observe(float64(len(res.IDs)))
-			tr.Add("exec_operators", operators)
-		}
-		return res, nil
-	}
-}
-
-// WindowPerTick is the legacy window executor: one worker per overlapping
-// shard, each probing its sub-span tick by tick through the same routing
-// used by single STRQs. It remains the reference implementation — the
-// equivalence suite asserts Window matches it point for point, and the
-// window benchmark uses it as the baseline. New callers should use
-// Window.
-func (r *Repository) WindowPerTick(ctx context.Context, rect geo.Rect, from, to int, exact bool) (*WindowResult, error) {
-	// Counted at entry like STRQ, so query_errors can never exceed
-	// queries in the stats.
-	r.met.queries.Inc()
-	if err := validateWindow(rect, from, to); err != nil {
-		r.met.queryErrors.Inc()
-		return nil, fmt.Errorf("serve: %w", err)
-	}
 	if err := ctx.Err(); err != nil {
-		r.met.queryErrors.Inc()
 		return nil, err
 	}
-	res, err := r.windowPerTickScan(ctx, rect, from, to, exact)
-	if err != nil {
-		r.met.queryErrors.Inc()
-		return nil, err
-	}
-	res.AsOfTick = r.appliedTick.Load()
-	return res, nil
-}
 
-// windowPerTickScan is the per-tick executor body, shared by
-// WindowPerTick and windowRange's replan-cap fallback (the caller owns
-// validation and error accounting).
-func (r *Repository) windowPerTickScan(ctx context.Context, rect geo.Rect, from, to int, exact bool) (*WindowResult, error) {
-	// Plan the shards against a stable routing view: if a compaction moves
-	// the watermark while we are reading the two tiers, replan (the ticks
-	// it just sealed would otherwise fall between the snapshots).
+	// One hot-tail read section takes the routing view and the hot
+	// residual above its watermark; everything after it reads immutable
+	// segments and private copies. Hot points are raw, so approximate and
+	// exact mode coincide.
 	var (
-		segs         []*Segment
-		sealed       int
-		hotLo, hotHi int
-		hotOK        bool
+		hotCols     []hotScanCol
+		hotCovered  int
+		hotOverlaps bool
 	)
-	for {
-		segs, sealed = r.view()
-		hotLo, hotHi, hotOK = r.hot.tickSpan()
-		if _, sealed2 := r.view(); sealed2 == sealed {
-			break
-		}
+	r.hot.mu.RLock()
+	segs, sealed := r.segs, r.sealedThrough
+	hotFrom := max(from, sealed+1)
+	if to >= hotFrom {
+		hotCols, hotCovered, hotOverlaps = r.hot.scanRange(rect, hotFrom, to)
 	}
-	type shard struct {
-		seg    *Segment // nil = hot tail
-		lo, hi int
+	r.hot.mu.RUnlock()
+	hotIDs, err := runIterHot(ctx, hotCols, hotFrom, to, tr)
+	if err != nil {
+		return nil, err
 	}
-	var shards []shard
-	for _, s := range segs {
-		lo, hi := max(from, s.StartTick), min(to, s.EndTick)
-		if lo <= hi {
-			shards = append(shards, shard{seg: s, lo: lo, hi: hi})
-		}
+	tr.Lap("hot_scan")
+
+	// Greedy statistics-free plan: split the span at segment boundaries,
+	// score each sub-span by zone-map selectivity (populated-cell overlap ×
+	// tick-span overlap), prune scans the zone map proves empty, and order
+	// the rest largest first so the parallel fan-out's tail stays short.
+	ordered, pruned := planWindow(segs, rect, from, to)
+	sources := len(ordered) + len(pruned)
+	if hotOverlaps {
+		sources++
 	}
-	if to > sealed && hotOK {
-		// Clip the hot shard to ticks that can actually hold data — the
-		// caller-supplied bound may be astronomically far in the future,
-		// and probing empty ticks one by one would let a single request
-		// monopolize the server.
-		lo, hi := max(from, max(sealed+1, hotLo)), min(to, hotHi)
-		if lo <= hi {
-			shards = append(shards, shard{seg: nil, lo: lo, hi: hi})
-		}
+	skipped := len(pruned)
+	skippedTicks := 0
+	for _, p := range pruned {
+		skippedTicks += segs[p.ID].Eng.Idx.CoveredTicks(p.Span.Lo, p.Span.Hi)
 	}
-	// One worker per shard, on the same bounded pool Batch uses — a wide
-	// window over a long-lived repository can overlap hundreds of
-	// segments, and unbounded goroutine fan-out would let one request
-	// monopolize the server.
-	results := make([][]traj.ID, len(shards))
-	errs := make([]error, len(shards))
-	ticks := make([]int, len(shards))
-	runShard := func(ctx context.Context, i int) error {
-		sh := shards[i]
-		seen := make(map[traj.ID]struct{})
-		for t := sh.lo; t <= sh.hi; t++ {
-			// The per-tick check is what makes cancellation prompt: a wide
-			// window over a long-lived repository probes thousands of
-			// ticks, and each probe is the natural stopping point.
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			var ids []traj.ID
-			if sh.seg != nil {
-				res, err := sh.seg.Eng.STRQRect(ctx, rect, t, exact, nil)
-				if err != nil {
-					return err
-				}
-				if !res.Covered {
-					continue
-				}
-				ids = res.IDs
-			} else {
-				// strqTick re-routes ticks a concurrent compaction
-				// sealed after the shard plan was made.
-				ans, err := r.strqTick(ctx, rect, t, exact)
-				if err != nil {
-					return err
-				}
-				if !ans.Covered {
-					continue
-				}
-				ids = ans.IDs
-			}
-			ticks[i]++
-			for _, id := range ids {
-				seen[id] = struct{}{}
-			}
-		}
-		out := make([]traj.ID, 0, len(seen))
-		for id := range seen {
-			out = append(out, id)
-		}
-		results[i] = out
-		return nil
-	}
-	if err := par.ForCtx(ctx, par.Workers(r.opts.Workers), len(shards), 1, func(ctx context.Context, _, wlo, whi int) {
+	tr.Lap("plan")
+
+	// One scan per surviving segment, on the same bounded pool Batch uses
+	// — a wide window over a long-lived repository can overlap hundreds of
+	// segments.
+	results := make([]shardResult, len(ordered))
+	errs := make([]error, len(ordered))
+	if err := par.ForCtx(ctx, par.Workers(r.opts.Workers), len(ordered), 1, func(ctx context.Context, _, wlo, whi int) {
 		for i := wlo; i < whi; i++ {
-			errs[i] = runShard(ctx, i)
+			sc := ordered[i]
+			results[i], errs[i] = runIterShard(ctx, segs[sc.ID], rect, sc.Span.Lo, sc.Span.Hi, exact, tr)
 		}
 	}); err != nil {
 		return nil, err
 	}
-	for _, err := range errs {
+	for i, err := range errs {
 		if err != nil {
-			return nil, err
+			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+				return nil, err
+			}
+			return nil, fmt.Errorf("serve: segment %d: %w", segs[ordered[i].ID].ID, err)
 		}
 	}
-	merged := make(map[traj.ID]struct{})
-	probed := 0
-	for i := range shards {
-		probed += ticks[i]
-		for _, id := range results[i] {
-			merged[id] = struct{}{}
-		}
+	tr.Lap("segment_scan")
+
+	r.met.winSegsScanned.Add(int64(len(ordered)))
+	r.met.winSegsSkipped.Add(int64(skipped))
+	tr.Add("segments_scanned", int64(len(ordered)))
+	tr.Add("segments_skipped", int64(skipped))
+
+	// Merge: flatten every column and sort-dedup once. Columns are
+	// per-tick ID sets, so the flat list is mostly runs of near-equal
+	// values — a single sort beats per-ID map inserts by a wide margin at
+	// window scale.
+	probed := skippedTicks + hotCovered
+	total := len(hotIDs)
+	var scan index.ScanStats
+	var scanRows, verifyRows int64
+	for i := range results {
+		rr := &results[i]
+		probed += rr.covered
+		scan.Add(rr.scan)
+		scanRows += rr.scanRows
+		verifyRows += int64(rr.candidates)
+		total += len(rr.ids)
 	}
-	res := &WindowResult{From: from, To: to, Ticks: probed, Sources: len(shards)}
-	for id := range merged {
-		res.IDs = append(res.IDs, id)
+	r.met.winCellsScanned.Add(int64(scan.CellsScanned))
+	r.met.winCellsSkipped.Add(int64(scan.CellsSkipped))
+	tr.Add("cells_scanned", int64(scan.CellsScanned))
+	tr.Add("cells_skipped", int64(scan.CellsSkipped))
+	tr.Add("cache_hits", int64(scan.CacheHits))
+	tr.Add("cache_misses", int64(scan.CacheMisses))
+	tr.Add("bytes_decoded", scan.DecodedBytes)
+	tr.Add("decode_us", scan.DecodeNanos/1e3)
+	tr.Add("ticks_probed", int64(probed))
+	flat := make([]traj.ID, 0, total)
+	for i := range results {
+		flat = append(flat, results[i].ids...)
 	}
-	sort.Slice(res.IDs, func(i, j int) bool { return res.IDs[i] < res.IDs[j] })
-	obs.TraceFrom(ctx).Lap("per_tick_scan")
+	flat = append(flat, hotIDs...)
+	slices.Sort(flat)
+	res := &WindowResult{From: from, To: to, Ticks: probed, Sources: sources, SegmentsSkipped: skipped}
+	if len(flat) > 0 { // nil, not empty-but-allocated, keeps the JSON stable
+		res.IDs = traj.DedupSorted(flat)
+	}
+	tr.Lap("merge")
+
+	// Plan telemetry: one plan, its operator count, and per-operator
+	// emitted-row aggregates (scan, verify, hot, merge).
+	operators := int64(len(ordered)) * 2 // scan + verify per shard
+	if exact {
+		operators += int64(len(ordered)) // exact-verify sink
+	}
+	if hotOverlaps {
+		operators++
+	}
+	operators++ // the final merge
+	r.met.execPlans.Inc()
+	r.met.execOperators.Add(operators)
+	r.met.execOpsPerPlan.Observe(float64(operators))
+	r.met.execOpRows.Observe(float64(scanRows))
+	r.met.execOpRows.Observe(float64(verifyRows))
+	if hotOverlaps {
+		r.met.execOpRows.Observe(float64(len(hotIDs)))
+	}
+	r.met.execOpRows.Observe(float64(len(res.IDs)))
+	tr.Add("exec_operators", operators)
 	return res, nil
 }
 
@@ -1657,7 +1432,7 @@ func (r *Repository) replStats() *ReplStats {
 	return rs
 }
 
-// WindowStats counts the window executor's zone-map pruning work: how
+// WindowStats counts the window planner's zone-map pruning work: how
 // many overlapping segments each window scanned versus skipped outright,
 // and how many populated index cells the surviving scans walked versus
 // pruned (per-cell tick-range miss or margin full-reject) before any
@@ -1668,9 +1443,8 @@ type WindowStats struct {
 	SegmentsSkipped int64 `json:"segments_skipped"`
 	CellsScanned    int64 `json:"cells_scanned"`
 	CellsSkipped    int64 `json:"cells_skipped"`
-	// Plans and Operators count iterator-executor window plans and the
-	// operators those plans composed (zero while the fused executor
-	// serves).
+	// Plans and Operators count window plans and the operators those
+	// plans composed.
 	Plans     int64 `json:"plans"`
 	Operators int64 `json:"operators"`
 }

@@ -75,7 +75,7 @@ func TestConcurrentMixedWorkloadMatchesStatic(t *testing.T) {
 	}
 	defer repo.Close()
 
-	const workers = 4
+	const workers, pathLen = 4, 3
 	var ingested atomic.Int64 // index into cols of the last fully ingested column
 	ingested.Store(-1)
 	var done atomic.Bool
@@ -94,16 +94,26 @@ func TestConcurrentMixedWorkloadMatchesStatic(t *testing.T) {
 				}
 				col := cols[rng.Intn(int(hi)+1)]
 				p := col.Points[rng.Intn(col.Len())]
-				ans, err := repo.STRQ(context.Background(), STRQRequest{P: p, Tick: col.Tick, Exact: true, PathLen: 3})
+				ans, err := repo.STRQ(context.Background(), STRQRequest{P: p, Tick: col.Tick, Exact: true, PathLen: pathLen})
 				if err != nil {
 					errCh <- err
 					return
 				}
+				after := ingested.Load()
 				want := query.GroundTruth(d, ans.Cell, col.Tick)
 				if !sameIDs(ans.IDs, want) {
 					errCh <- fmt.Errorf("worker %d: tick %d cell %v: got %v want %v (source %s)",
 						wk, col.Tick, ans.Cell, ans.IDs, want, ans.Source)
 					return
+				}
+				// The next column may already be resident while its ingest
+				// is still being recorded, so it bounds what a path can see.
+				seenTo := cols[min(int(after)+1, len(cols)-1)].Tick
+				for _, id := range ans.IDs {
+					if err := checkPath(repo, d, id, ans.Paths[id], col.Tick, pathLen, cols[hi].Tick, seenTo); err != nil {
+						errCh <- fmt.Errorf("worker %d: %w", wk, err)
+						return
+					}
 				}
 			}
 		}(wk)
@@ -167,6 +177,43 @@ func TestConcurrentMixedWorkloadMatchesStatic(t *testing.T) {
 				i, reqs[i].Tick, ans.IDs, ans.Source, res.IDs)
 		}
 	}
+}
+
+// checkPath validates one STRQ path against raw data while ingest and
+// compaction may still be running. The path starts at the query tick.
+// Its length is min(pathLen, the trajectory's ticks from there) for an
+// ingest frontier between ingestedTo (fully ingested when the query
+// started) and seenTo (possibly resident when it returned). Every point
+// equals raw (hot tail) or lies within its segment's deviation bound.
+func checkPath(repo *Repository, d *traj.Dataset, id traj.ID, p Path, tick, pathLen, ingestedTo, seenTo int) error {
+	tr, ok := d.Lookup(id)
+	if !ok {
+		return fmt.Errorf("trajectory %d not in the dataset", id)
+	}
+	if p.Start != tick {
+		return fmt.Errorf("trajectory %d: path starts at %d, want the query tick %d", id, p.Start, tick)
+	}
+	avail := func(frontier int) int { return min(pathLen, max(0, min(tr.End()-1, frontier)-tick+1)) }
+	if n := len(p.Points); n < avail(ingestedTo) || n > avail(seenTo) {
+		return fmt.Errorf("trajectory %d: path from tick %d has %d points, want %d..%d",
+			id, tick, n, avail(ingestedTo), avail(seenTo))
+	}
+	segs := repo.Segments()
+	for i, pt := range p.Points {
+		at := tick + i
+		raw, _ := tr.At(at)
+		if pt == raw {
+			continue
+		}
+		seg := findSegment(segs, at)
+		if seg == nil {
+			return fmt.Errorf("trajectory %d tick %d: %v is not raw %v and no segment covers the tick", id, at, pt, raw)
+		}
+		if dev, bound := pt.Dist(raw), seg.Sum.MaxDeviation()+1e-12; dev > bound {
+			return fmt.Errorf("trajectory %d tick %d: deviation %v exceeds segment %d's bound %v", id, at, dev, seg.ID, bound)
+		}
+	}
+	return nil
 }
 
 func sameIDs(a, b []traj.ID) bool {
@@ -495,6 +542,14 @@ func TestExactWithoutRawErrors(t *testing.T) {
 	}
 	if ans.Source != "hot" || !ans.Covered {
 		t.Fatalf("expected covered hot answer, got %+v", ans)
+	}
+	// Windows follow the same rule.
+	everywhere := geo.NewRect(-180, -90, 180, 90)
+	if _, err := repo.Window(context.Background(), everywhere, sealedCol.Tick, sealedCol.Tick+2, true); !errors.Is(err, query.ErrNoRaw) {
+		t.Fatalf("sealed exact window without raw: want ErrNoRaw, got %v", err)
+	}
+	if _, err := repo.Window(context.Background(), everywhere, hotCol.Tick, hotCol.Tick+5, true); err != nil {
+		t.Fatalf("hot exact window: %v", err)
 	}
 	// Batch must absorb the failure per-answer instead of failing whole.
 	answers := repo.Batch(context.Background(), []STRQRequest{

@@ -46,6 +46,49 @@ type lastTickCols struct {
 	lastTick int
 }
 
+// TestExecutorEquivalenceSuite runs the executor over a second span and
+// rect matrix: every answer must match the per-tick reference and, in
+// exact mode, ground truth (checkWindow), and every window must account
+// for exactly one plan whose zone-pruned segments move the skip counter
+// by the count the answer reports. Run with -race.
+func TestExecutorEquivalenceSuite(t *testing.T) {
+	repo, w := openWindowRepo(t)
+	ctx := context.Background()
+	for _, rect := range windowRects(w.cols, 6, 29) {
+		for _, sp := range windowSpans(w.lastTick, 17) {
+			for _, exact := range []bool{false, true} {
+				before := repo.Stats().Window
+				got, err := repo.Window(ctx, rect, sp[0], sp[1], exact)
+				if err != nil {
+					t.Fatalf("Window(%v, %d..%d, exact=%v): %v", rect, sp[0], sp[1], exact, err)
+				}
+				after := repo.Stats().Window
+				if plans := after.Plans - before.Plans; plans != 1 {
+					t.Fatalf("rect %v span %d..%d exact=%v: one window = one plan, got %d",
+						rect, sp[0], sp[1], exact, plans)
+				}
+				if skipped := after.SegmentsSkipped - before.SegmentsSkipped; skipped != int64(got.SegmentsSkipped) {
+					t.Fatalf("rect %v span %d..%d exact=%v: skip counter moved %d for a plan reporting %d skips",
+						rect, sp[0], sp[1], exact, skipped, got.SegmentsSkipped)
+				}
+				checkWindow(t, repo, w.cols, rect, sp, exact, got)
+			}
+		}
+	}
+}
+
+// TestExecutorRacingCompaction runs exact windows concurrently with live
+// ingestion and compaction (raceWindows): every answer must equal
+// brute-force ground truth wherever the sealed watermark lands
+// mid-request, and the plan counter must account for exactly one plan
+// per answered window. Run with -race.
+func TestExecutorRacingCompaction(t *testing.T) {
+	repo, answered := raceWindows(t, 61, 90, false)
+	if plans := repo.Stats().Window.Plans; plans != answered {
+		t.Fatalf("%d windows answered under racing compaction recorded %d plans", answered, plans)
+	}
+}
+
 // TestExecutorPlanTelemetry checks the window plan accounting:
 // zone-pruned segments are counted once per plan, and Plans and Operators
 // land in the stats window section.

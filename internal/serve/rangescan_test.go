@@ -90,6 +90,48 @@ func perTickWindow(t *testing.T, repo *Repository, cols []*traj.Column, rect geo
 	return sortedIDs(ids), ticks, sources
 }
 
+// windowSpans is the equivalence suites' span matrix: the whole history,
+// the sealed/hot frontier, the epoch, and empty future ticks, plus eight
+// random spans drawn from seed.
+func windowSpans(lastTick int, seed int64) [][2]int {
+	spans := [][2]int{
+		{0, lastTick},                 // whole history: every segment + hot
+		{lastTick - 12, lastTick + 5}, // straddles sealed/hot and runs past the data
+		{-10, 3},                      // straddles the epoch
+		{lastTick + 3, lastTick + 30}, // hot-only plus empty future ticks
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < 8; i++ {
+		lo := rng.Intn(lastTick + 1)
+		spans = append(spans, [2]int{lo, lo + rng.Intn(lastTick-lo+4)})
+	}
+	return spans
+}
+
+// checkWindow compares one Window answer with the per-tick reference
+// (perTickWindow) in IDs, ticks probed and sources and, in exact mode,
+// with brute-force ground truth.
+func checkWindow(t *testing.T, repo *Repository, cols []*traj.Column, rect geo.Rect, sp [2]int, exact bool, got *WindowResult) {
+	t.Helper()
+	want, ticks, sources := perTickWindow(t, repo, cols, rect, sp[0], sp[1], exact)
+	if !sameIDs(got.IDs, want) {
+		t.Fatalf("exact=%v: %v", exact, errMismatch(rect, sp[0], sp[1], got.IDs, want))
+	}
+	if got.Ticks != ticks || got.Sources != sources {
+		t.Fatalf("rect %v span %d..%d exact=%v: ticks probed %d vs %d, sources %d vs %d",
+			rect, sp[0], sp[1], exact, got.Ticks, ticks, got.Sources, sources)
+	}
+	if got.SegmentsSkipped > got.Sources {
+		t.Fatalf("rect %v span %d..%d: %d segments skipped of %d sources",
+			rect, sp[0], sp[1], got.SegmentsSkipped, got.Sources)
+	}
+	if exact {
+		if truth := bruteWindow(cols, rect, sp[0], sp[1]); !sameIDs(got.IDs, truth) {
+			t.Fatalf("ground truth: %v", errMismatch(rect, sp[0], sp[1], got.IDs, truth))
+		}
+	}
+}
+
 // TestWindowEquivalenceSuite is the window executor's acceptance suite:
 // Window must match the per-tick reference (perTickWindow) in IDs, ticks
 // probed and sources, in both modes, and brute-force ground truth in
@@ -98,45 +140,14 @@ func perTickWindow(t *testing.T, repo *Repository, cols []*traj.Column, rect geo
 func TestWindowEquivalenceSuite(t *testing.T) {
 	repo, w := openWindowRepo(t)
 	ctx := context.Background()
-	lastTick := w.lastTick
-	spans := [][2]int{
-		{0, lastTick},                 // whole history: every segment + hot
-		{lastTick - 12, lastTick + 5}, // straddles sealed/hot and runs past the data
-		{-10, 3},                      // straddles the epoch
-		{lastTick + 3, lastTick + 30}, // hot-only plus empty future ticks
-	}
-	for _, seed := range []int64{7, 17} {
-		rng := rand.New(rand.NewSource(seed))
-		for i := 0; i < 8; i++ {
-			lo := rng.Intn(lastTick + 1)
-			spans = append(spans, [2]int{lo, lo + rng.Intn(lastTick-lo+4)})
-		}
-	}
-	rects := append(windowRects(w.cols, 6, 21), windowRects(w.cols, 6, 29)...)
-	for _, rect := range rects {
-		for _, sp := range spans {
+	for _, rect := range windowRects(w.cols, 6, 21) {
+		for _, sp := range windowSpans(w.lastTick, 7) {
 			for _, exact := range []bool{false, true} {
 				got, err := repo.Window(ctx, rect, sp[0], sp[1], exact)
 				if err != nil {
 					t.Fatalf("Window(%v, %d..%d, exact=%v): %v", rect, sp[0], sp[1], exact, err)
 				}
-				want, ticks, sources := perTickWindow(t, repo, w.cols, rect, sp[0], sp[1], exact)
-				if !sameIDs(got.IDs, want) {
-					t.Fatalf("exact=%v: %v", exact, errMismatch(rect, sp[0], sp[1], got.IDs, want))
-				}
-				if got.Ticks != ticks || got.Sources != sources {
-					t.Fatalf("rect %v span %d..%d exact=%v: ticks probed %d vs %d, sources %d vs %d",
-						rect, sp[0], sp[1], exact, got.Ticks, ticks, got.Sources, sources)
-				}
-				if got.SegmentsSkipped > got.Sources {
-					t.Fatalf("rect %v span %d..%d: %d segments skipped of %d sources",
-						rect, sp[0], sp[1], got.SegmentsSkipped, got.Sources)
-				}
-				if exact {
-					if truth := bruteWindow(w.cols, rect, sp[0], sp[1]); !sameIDs(got.IDs, truth) {
-						t.Fatalf("ground truth: %v", errMismatch(rect, sp[0], sp[1], got.IDs, truth))
-					}
-				}
+				checkWindow(t, repo, w.cols, rect, sp, exact, got)
 			}
 		}
 	}
@@ -158,16 +169,28 @@ func TestWindowEquivalenceSuite(t *testing.T) {
 // segment and trims its hot ticks in one write section, so a window that
 // reads the view once never misses or re-plans a tick. Run with -race.
 func TestWindowRacingCompaction(t *testing.T) {
+	raceWindows(t, 33, 50, true)
+}
+
+// raceWindows runs four window workers (rng seeds workerSeed+0..3) over
+// rects drawn from rectSeed, concurrently with live ingestion and
+// compaction of the test data. Every answer over the fully ingested
+// prefix must equal brute-force ground truth in exact mode and contain it
+// in approximate mode; with mixed false every window is exact. It
+// returns the flushed, quiescent repository and the number of windows
+// answered.
+func raceWindows(t *testing.T, rectSeed, workerSeed int64, mixed bool) (*Repository, int64) {
+	t.Helper()
 	d, cols := testData(t)
 	opts := testOptions(d)
 	repo, err := Open(opts) // fast CompactInterval: compactor races for real
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer repo.Close()
+	t.Cleanup(func() { repo.Close() })
 
-	rects := append(windowRects(cols, 4, 33), windowRects(cols, 4, 61)...)
-	var ingested atomic.Int64
+	rects := windowRects(cols, 4, rectSeed)
+	var ingested, answered atomic.Int64
 	ingested.Store(-1)
 	var done atomic.Bool
 	var wg sync.WaitGroup
@@ -176,7 +199,7 @@ func TestWindowRacingCompaction(t *testing.T) {
 		wg.Add(1)
 		go func(wk int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(50 + wk)))
+			rng := rand.New(rand.NewSource(workerSeed + int64(wk)))
 			for !done.Load() {
 				hi := ingested.Load()
 				if hi < 1 {
@@ -187,12 +210,13 @@ func TestWindowRacingCompaction(t *testing.T) {
 				to := cols[rng.Intn(int(hi))].Tick
 				from := to - rng.Intn(20)
 				rect := rects[rng.Intn(len(rects))]
-				exact := rng.Intn(2) == 0
+				exact := !mixed || rng.Intn(2) == 0
 				res, err := repo.Window(context.Background(), rect, from, to, exact)
 				if err != nil {
 					errCh <- err
 					return
 				}
+				answered.Add(1)
 				want := bruteWindow(cols, rect, from, to)
 				if exact && !sameIDs(res.IDs, want) || !exact && len(minusIDs(want, res.IDs)) > 0 {
 					errCh <- errMismatch(rect, from, to, res.IDs, want)
@@ -220,6 +244,7 @@ func TestWindowRacingCompaction(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
+	return repo, answered.Load()
 }
 
 type windowMismatch struct {

@@ -29,6 +29,14 @@ import (
 const (
 	summaryMagic   = "PPQS"
 	summaryVersion = 1
+
+	// Sanity caps on header fields and counts read from a blob, so a
+	// corrupt file fails with an error instead of a huge allocation or a
+	// panic. Real summaries sit far below each: k is 3 by default, ε₁/g_s
+	// is a small ratio, and a trajectory segment holds a few hundred points.
+	maxLagOrder      = 64
+	maxCQCHalfCells  = 1 << 20
+	maxEntryPrealloc = 1 << 16
 )
 
 // ErrBadFormat is returned when a summary blob fails validation.
@@ -255,6 +263,9 @@ func ReadSummary(r io.Reader) (*Summary, error) {
 	if err != nil {
 		return nil, err
 	}
+	if k > maxLagOrder {
+		return nil, fmt.Errorf("%w: lag order K=%d", ErrBadFormat, k)
+	}
 	o.K = int(k)
 	if o.Epsilon1, err = rd.f64(); err != nil {
 		return nil, err
@@ -300,6 +311,9 @@ func ReadSummary(r io.Reader) (*Summary, error) {
 		return nil, err
 	}
 	o.Seed = int64(seed)
+	if math.IsNaN(o.Epsilon1) || math.IsInf(o.Epsilon1, 0) || math.IsNaN(o.GS) || math.IsInf(o.GS, 0) {
+		return nil, fmt.Errorf("%w: non-finite ε₁=%v g_s=%v", ErrBadFormat, o.Epsilon1, o.GS)
+	}
 
 	s := &Summary{
 		Opts:  o,
@@ -334,8 +348,8 @@ func ReadSummary(r io.Reader) (*Summary, error) {
 		if o.FixedWords > 0 && eps <= 0 {
 			eps = 16 * o.GS
 		}
-		if o.GS <= 0 {
-			return nil, fmt.Errorf("%w: UseCQC with GS=%v", ErrBadFormat, o.GS)
+		if !(eps > 0 && o.GS > 0 && eps/o.GS <= maxCQCHalfCells) {
+			return nil, fmt.Errorf("%w: UseCQC with ε₁=%v g_s=%v", ErrBadFormat, eps, o.GS)
 		}
 		s.Coder = cqc.NewCoder(eps, o.GS)
 	}
@@ -362,6 +376,9 @@ func ReadSummary(r io.Reader) (*Summary, error) {
 			cl, err := rd.uvarint()
 			if err != nil {
 				return nil, err
+			}
+			if cl > uint64(o.K) {
+				return nil, fmt.Errorf("%w: %d coefficients for lag order %d", ErrBadFormat, cl, o.K)
 			}
 			cs := make(predict.Coefficients, cl)
 			for c := range cs {
@@ -397,8 +414,8 @@ func ReadSummary(r io.Reader) (*Summary, error) {
 		if err != nil {
 			return nil, err
 		}
-		tr := &TrajSummary{Start: int(start), Entries: make([]PointEntry, n)}
-		for e := range tr.Entries {
+		tr := &TrajSummary{Start: int(start), Entries: make([]PointEntry, 0, min(n, maxEntryPrealloc))}
+		for e := uint64(0); e < n; e++ {
 			part, err := rd.uvarint()
 			if err != nil {
 				return nil, err
@@ -415,10 +432,10 @@ func ReadSummary(r io.Reader) (*Summary, error) {
 			if err != nil {
 				return nil, err
 			}
-			tr.Entries[e] = PointEntry{
+			tr.Entries = append(tr.Entries, PointEntry{
 				Part: int32(part), Word: int32(word),
 				CQC: cqc.Code{Bits: bits, Len: cl},
-			}
+			})
 		}
 		s.Trajs[traj.ID(id)] = tr
 	}

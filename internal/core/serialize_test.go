@@ -2,10 +2,15 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"math"
 	"testing"
 
 	"ppqtraj/internal/gen"
 	"ppqtraj/internal/partition"
+	"ppqtraj/internal/predict"
+	"ppqtraj/internal/traj"
 )
 
 func roundTrip(t *testing.T, s *Summary) *Summary {
@@ -103,6 +108,74 @@ func TestReadSummaryRejectsWrongVersion(t *testing.T) {
 	b[4] = 0xFF // corrupt the version field
 	if _, err := ReadSummary(bytes.NewReader(b)); err == nil {
 		t.Fatal("expected error for unsupported version")
+	}
+}
+
+// TestReadSummaryRejectsBadHeaders feeds crafted blobs whose header or
+// counts are out of range: each must fail with an error, never panic,
+// allocate by the stored count, or load silently.
+func TestReadSummaryRejectsBadHeaders(t *testing.T) {
+	// One empty trajectory, so the blob ends with its entry count.
+	base := func() *Summary {
+		return &Summary{
+			Opts:  DefaultOptions(partition.Spatial, 0.1),
+			Ticks: map[int]*TickSummary{},
+			Trajs: map[traj.ID]*TrajSummary{7: {}},
+		}
+	}
+	encode := func(t *testing.T, s *Summary) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if _, err := s.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if _, err := ReadSummary(bytes.NewReader(encode(t, base()))); err != nil {
+		t.Fatalf("unmodified blob: %v", err)
+	}
+
+	opts := func(mut func(*Options)) func(*testing.T) []byte {
+		return func(t *testing.T) []byte {
+			s := base()
+			mut(&s.Opts)
+			return encode(t, s)
+		}
+	}
+	cases := []struct {
+		name string
+		blob func(*testing.T) []byte
+		// eof marks a count that runs past the end of the blob instead of
+		// failing a range check.
+		eof bool
+	}{
+		{name: "eps zero", blob: opts(func(o *Options) { o.Epsilon1 = 0 })},
+		{name: "eps negative", blob: opts(func(o *Options) { o.Epsilon1 = -1 })},
+		{name: "eps NaN", blob: opts(func(o *Options) { o.Epsilon1 = math.NaN() })},
+		{name: "gs NaN", blob: opts(func(o *Options) { o.GS = math.NaN() })},
+		{name: "gs +Inf", blob: opts(func(o *Options) { o.GS = math.Inf(1) })},
+		{name: "eps/gs overflow", blob: opts(func(o *Options) { o.Epsilon1, o.GS = 1, 1e-12 })},
+		{name: "huge K", blob: opts(func(o *Options) { o.K = 1 << 40 })},
+		{name: "coefficients longer than K", blob: func(t *testing.T) []byte {
+			s := base()
+			s.Ticks[0] = &TickSummary{Coeffs: map[int]predict.Coefficients{0: make(predict.Coefficients, s.Opts.K+1)}}
+			return encode(t, s)
+		}},
+		{name: "huge entry count", eof: true, blob: func(t *testing.T) []byte {
+			b := encode(t, base())
+			return binary.AppendUvarint(b[:len(b)-1], 1<<61)
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := ReadSummary(bytes.NewReader(c.blob(t)))
+			if err == nil {
+				t.Fatal("loaded without error")
+			}
+			if !c.eof && !errors.Is(err, ErrBadFormat) {
+				t.Fatalf("err = %v, want ErrBadFormat", err)
+			}
+		})
 	}
 }
 

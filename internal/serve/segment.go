@@ -35,7 +35,6 @@ type Segment struct {
 	Eng       *query.Engine
 	File      string // manifest-relative file name; "" when memory-only
 	SizeBytes int64  // serialized size on disk (0 when memory-only)
-	Quantized bool   // false would mean a raw segment; always true today
 	// CacheOwner is the segment's token in the repository's shared
 	// decoded-cell cache (0 when the cache is disabled); invalidating it
 	// drops every cached decode of this segment.
@@ -73,7 +72,6 @@ func buildSegment(id uint64, cols []*traj.Column, bopts core.Options, iopts inde
 		Points:    sum.NumPoints,
 		Sum:       sum,
 		Eng:       eng,
-		Quantized: true,
 		Zone:      buildZoneMap(eng, iopts.GC, start, end),
 	}, nil
 }
@@ -163,7 +161,6 @@ func loadSegment(dir string, m manifestSegment, iopts index.Options, raw *traj.D
 		Eng:       eng,
 		File:      m.File,
 		SizeBytes: sz,
-		Quantized: true,
 	}
 	// Zone maps arrived after the first manifests: a missing or stale
 	// sidecar is rebuilt from the engine (the caller re-persists it,

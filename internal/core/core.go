@@ -282,12 +282,20 @@ func (s *Summary) ReconstructPath(id traj.ID, from, l int) []geo.Point {
 }
 
 // wordOf returns the codeword for an entry at the given tick, resolving
-// per-tick books in FixedWords mode.
-func (s *Summary) wordOf(tick int, e PointEntry) geo.Point {
+// per-tick books in FixedWords mode. A missing book or an out-of-range
+// index (only a corrupt summary has either) is ErrBadFormat.
+func (s *Summary) wordOf(tick int, e PointEntry) (geo.Point, error) {
+	book := s.Book
 	if s.Opts.FixedWords > 0 {
-		return s.Ticks[tick].Book.Word(int(e.Word))
+		book = nil
+		if ts := s.Ticks[tick]; ts != nil {
+			book = ts.Book
+		}
 	}
-	return s.Book.Word(int(e.Word))
+	if book == nil || e.Word < 0 || int(e.Word) >= book.Len() {
+		return geo.Point{}, fmt.Errorf("%w: codeword %d at tick %d outside its codebook", ErrBadFormat, e.Word, tick)
+	}
+	return book.Word(int(e.Word)), nil
 }
 
 // Decode replays the decoder for one trajectory purely from the stored
@@ -323,7 +331,11 @@ func (s *Summary) Decode(id traj.ID) ([]geo.Point, error) {
 				pred = predict.Predict(coeffs, history)
 			}
 		}
-		recon := pred.Add(s.wordOf(tick, e))
+		word, err := s.wordOf(tick, e)
+		if err != nil {
+			return nil, err
+		}
+		recon := pred.Add(word)
 		final := recon
 		if s.Coder != nil {
 			final = s.Coder.Refine(recon, e.CQC)

@@ -432,6 +432,9 @@ func ReadSummary(r io.Reader) (*Summary, error) {
 			if err != nil {
 				return nil, err
 			}
+			if part > math.MaxInt32 || word > math.MaxInt32 {
+				return nil, fmt.Errorf("%w: partition %d / codeword %d overflow int32", ErrBadFormat, part, word)
+			}
 			tr.Entries = append(tr.Entries, PointEntry{
 				Part: int32(part), Word: int32(word),
 				CQC: cqc.Code{Bits: bits, Len: cl},
@@ -445,7 +448,7 @@ func ReadSummary(r io.Reader) (*Summary, error) {
 	for _, id := range s.TrajIDs() {
 		rec, err := s.Decode(id)
 		if err != nil {
-			return nil, fmt.Errorf("core: decoding trajectory %d after load: %w", id, err)
+			return nil, fmt.Errorf("%w: decoding trajectory %d after load: %v", ErrBadFormat, id, err)
 		}
 		tr := s.Trajs[id]
 		tr.Recon = rec

@@ -8,8 +8,10 @@ import (
 	"testing"
 
 	"ppqtraj/internal/gen"
+	"ppqtraj/internal/geo"
 	"ppqtraj/internal/partition"
 	"ppqtraj/internal/predict"
+	"ppqtraj/internal/quant"
 	"ppqtraj/internal/traj"
 )
 
@@ -142,6 +144,31 @@ func TestReadSummaryRejectsBadHeaders(t *testing.T) {
 			return encode(t, s)
 		}
 	}
+	// entry gives trajectory 7 one point at tick 0 coded against a
+	// two-word global codebook, then applies mut.
+	entry := func(mut func(*Summary)) func(*testing.T) []byte {
+		return func(t *testing.T) []byte {
+			s := base()
+			s.Book = twoWords()
+			s.Trajs[7].Entries = []PointEntry{{Word: 1}}
+			mut(s)
+			return encode(t, s)
+		}
+	}
+	if _, err := ReadSummary(bytes.NewReader(entry(func(*Summary) {})(t))); err != nil {
+		t.Fatalf("valid one-entry blob: %v", err)
+	}
+	// tailEntry re-encodes that entry's partition and codeword as raw
+	// uvarints, past what int32 holds. The entry is the blob's last four
+	// bytes: part, word, CQC length and CQC bits, one byte each.
+	tailEntry := func(part, word uint64) func(*testing.T) []byte {
+		return func(t *testing.T) []byte {
+			b := entry(func(s *Summary) { s.Trajs[7].Entries[0].Word = 0 })(t)
+			b = binary.AppendUvarint(b[:len(b)-4], part)
+			b = binary.AppendUvarint(b, word)
+			return append(b, 0, 0)
+		}
+	}
 	cases := []struct {
 		name string
 		blob func(*testing.T) []byte
@@ -165,6 +192,17 @@ func TestReadSummaryRejectsBadHeaders(t *testing.T) {
 			b := encode(t, base())
 			return binary.AppendUvarint(b[:len(b)-1], 1<<61)
 		}},
+		{name: "codeword past the global book", blob: entry(func(s *Summary) {
+			s.Trajs[7].Entries[0].Word = int32(s.Book.Len())
+		})},
+		{name: "codeword past the tick book", blob: entry(func(s *Summary) {
+			s.Opts.FixedWords = 2
+			s.Ticks[0] = &TickSummary{Coeffs: map[int]predict.Coefficients{}, Book: twoWords()}
+			s.Trajs[7].Entries[0].Word = 2
+		})},
+		{name: "missing tick book", blob: entry(func(s *Summary) { s.Opts.FixedWords = 2 })},
+		{name: "partition overflows int32", blob: tailEntry(1<<32, 0)},
+		{name: "codeword overflows int32", blob: tailEntry(0, 1<<32)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -177,6 +215,33 @@ func TestReadSummaryRejectsBadHeaders(t *testing.T) {
 			}
 		})
 	}
+}
+
+func twoWords() *quant.Codebook {
+	book := quant.NewCodebook(1)
+	book.Add(geo.Pt(0.5, 0.5))
+	book.Add(geo.Pt(-0.5, 0.25))
+	return book
+}
+
+// FuzzReadSummary feeds arbitrary bytes to ReadSummary, which the server
+// runs on every segment file it opens: a corrupt file must come back as
+// an error, never a panic.
+func FuzzReadSummary(f *testing.F) {
+	d := gen.Porto(gen.Config{NumTrajectories: 4, MinLen: 8, MaxLen: 12, Seed: 9})
+	for _, opts := range []Options{
+		DefaultOptions(partition.Spatial, 0.1),
+		{K: 3, Mode: partition.Spatial, EpsilonP: 0.1, FixedWords: 4},
+	} {
+		var buf bytes.Buffer
+		if _, err := Build(d, opts).WriteTo(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		_, _ = ReadSummary(bytes.NewReader(blob)) // any error is fine; a panic is not
+	})
 }
 
 func TestSerializeSizeReasonable(t *testing.T) {

@@ -149,62 +149,6 @@ func TestPipelineMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestHotScanAndMergeColumns(t *testing.T) {
-	ctx := context.Background()
-	cols := []Column{
-		{Tick: 5, IDs: []traj.ID{3, 7}},
-		{Tick: 6, IDs: nil}, // empty columns are dropped
-		{Tick: 7, IDs: []traj.ID{1}},
-	}
-	got, err := Collect(NewHotScan(ctx, cols), 0, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []Column{{Tick: 5, IDs: []traj.ID{3, 7}}, {Tick: 7, IDs: []traj.ID{1}}}
-	if !reflect.DeepEqual(got.Cols, want) {
-		t.Fatalf("hot scan: %v", got.Cols)
-	}
-
-	merged := MergeColumns(
-		[]Column{{Tick: 1, IDs: []traj.ID{2, 4}}, {Tick: 3, IDs: []traj.ID{9}}},
-		[]Column{{Tick: 2, IDs: []traj.ID{5}}, {Tick: 3, IDs: []traj.ID{4, 9}}},
-	)
-	wantM := []Column{
-		{Tick: 1, IDs: []traj.ID{2, 4}},
-		{Tick: 2, IDs: []traj.ID{5}},
-		{Tick: 3, IDs: []traj.ID{4, 9}},
-	}
-	if !reflect.DeepEqual(merged, wantM) {
-		t.Fatalf("merge: %v", merged)
-	}
-}
-
-func TestLimitTruncates(t *testing.T) {
-	ctx := context.Background()
-	cols := []Column{
-		{Tick: 1, IDs: []traj.ID{1, 2, 3}},
-		{Tick: 2, IDs: []traj.ID{4, 5}},
-		{Tick: 3, IDs: []traj.ID{6}},
-	}
-	for limit, wantRows := range map[int]int{0: 0, 2: 2, 4: 4, 100: 6} {
-		it := Limit(ctx, NewHotScan(ctx, cols), limit)
-		rows := 0
-		for {
-			b, ok := it.Next()
-			if !ok {
-				break
-			}
-			rows += b.Rows()
-		}
-		if it.Err() != nil {
-			t.Fatal(it.Err())
-		}
-		if rows != wantRows {
-			t.Fatalf("limit %d emitted %d rows, want %d", limit, rows, wantRows)
-		}
-	}
-}
-
 func TestCancelledContextStopsPipeline(t *testing.T) {
 	w := buildWorld(t, false)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -218,29 +162,35 @@ func TestCancelledContextStopsPipeline(t *testing.T) {
 }
 
 func TestInstrument(t *testing.T) {
+	w := buildWorld(t, false)
 	ctx := context.Background()
-	cols := []Column{{Tick: 1, IDs: []traj.ID{1, 2}}, {Tick: 2, IDs: []traj.ID{3}}}
+	cls := Classifier{Rect: geo.Rect{MinX: 2, MinY: 2, MaxX: 5, MaxY: 5}, Margin: 0.2}
+	scan := func() *SegmentScan {
+		var st index.ScanStats
+		return NewSegmentScan(ctx, w.idx, cls, 0, 40, &st)
+	}
 
 	// nil trace: the wrapper must vanish.
-	src := NewHotScan(ctx, cols)
-	if it := Instrument(ctx, src, nil, "op_hot"); it != Iterator(src) {
+	src := scan()
+	if it := Instrument(ctx, src, nil, "op_scan"); it != Iterator(src) {
 		t.Fatal("nil trace did not pass the iterator through")
 	}
 
-	tr := obs.NewTrace()
-	it := Instrument(ctx, NewHotScan(ctx, cols), tr, "op_hot")
-	got, err := Collect(it, 0, 10)
-	if err != nil {
+	var rows int64
+	if _, err := Collect(CountRows(scan(), &rows), 0, 40); err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Cols) != 2 {
-		t.Fatalf("cols: %v", got.Cols)
+	if rows == 0 {
+		t.Fatal("scan emitted no rows; the instrument check would be vacuous")
 	}
-	rep := tr.Report()
-	if rep.Facts["op_hot_rows"] != 3 {
-		t.Fatalf("facts: %v", rep.Facts)
+	tr := obs.NewTrace()
+	if _, err := Collect(Instrument(ctx, scan(), tr, "op_scan"), 0, 40); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := tr.Stages()["op_hot"]; !ok {
+	if got := tr.Report().Facts["op_scan_rows"]; got != rows {
+		t.Fatalf("op_scan_rows = %d, want %d", got, rows)
+	}
+	if _, ok := tr.Stages()["op_scan"]; !ok {
 		t.Fatalf("stages: %v", tr.Stages())
 	}
 }

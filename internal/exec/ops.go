@@ -99,67 +99,6 @@ func (v *VerifyOp) Next() (*Batch, bool) {
 
 func (v *VerifyOp) Err() error { return v.err }
 
-// LimitOp truncates the stream after n rows — the executor's bounded
-// "first-k" escape: pulling stops (and upstream decode with it) as soon
-// as the budget is spent.
-type LimitOp struct {
-	ctx  context.Context
-	in   Iterator
-	left int
-	err  error
-	done bool
-	out  Batch
-	ids  [][]traj.ID
-}
-
-// Limit caps the composed stream at n (tick, id) rows.
-func Limit(ctx context.Context, in Iterator, n int) *LimitOp {
-	return &LimitOp{ctx: ctx, in: in, left: n}
-}
-
-// Next passes batches through, clipping the one that crosses the limit.
-func (l *LimitOp) Next() (*Batch, bool) {
-	if l.err != nil || l.done {
-		return nil, false
-	}
-	if l.err = l.ctx.Err(); l.err != nil {
-		return nil, false
-	}
-	if l.left <= 0 {
-		l.done = true
-		return nil, false
-	}
-	b, ok := l.in.Next()
-	if !ok {
-		l.err = l.in.Err()
-		return nil, false
-	}
-	if rows := b.Rows(); rows <= l.left {
-		l.left -= rows
-		return b, true
-	}
-	// Clip the batch at the remaining budget, tick by tick.
-	l.ids = l.ids[:0]
-	ticks := 0
-	for i := range b.Ticks {
-		take := b.IDs[i]
-		if len(take) > l.left {
-			take = take[:l.left]
-		}
-		l.ids = append(l.ids, take)
-		l.left -= len(take)
-		ticks++
-		if l.left == 0 {
-			break
-		}
-	}
-	l.done = true
-	l.out = Batch{Ticks: b.Ticks[:ticks], IDs: l.ids, Sure: b.Sure}
-	return &l.out, true
-}
-
-func (l *LimitOp) Err() error { return l.err }
-
 // CountRowsOp counts rows flowing through an operator boundary into an
 // external counter — the serving layer's per-operator metrics hook.
 // Unlike Instrument it is unconditional and timer-free, so it is cheap

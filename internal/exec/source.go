@@ -5,7 +5,6 @@ import (
 
 	"ppqtraj/internal/geo"
 	"ppqtraj/internal/index"
-	"ppqtraj/internal/traj"
 )
 
 // SegmentScan is the index source: it pulls decoded cell batches from
@@ -75,45 +74,3 @@ func (s *SegmentScan) Next() (*Batch, bool) {
 }
 
 func (s *SegmentScan) Err() error { return s.err }
-
-// HotScan is the hot-tail source: per-tick columns snapshotted from the
-// unsealed tail flow out one Sure batch per tick (the tail stores raw
-// positions, so residency is exact — no margin check applies).
-type HotScan struct {
-	ctx  context.Context
-	cols []Column
-	i    int
-	err  error
-	out  Batch
-	tick [1]int
-	ids  [1][]traj.ID
-}
-
-// NewHotScan wraps already-snapshotted hot-tail columns as a source.
-func NewHotScan(ctx context.Context, cols []Column) *HotScan {
-	return &HotScan{ctx: ctx, cols: cols}
-}
-
-// Next emits the next non-empty column as a single-tick Sure batch.
-func (h *HotScan) Next() (*Batch, bool) {
-	if h.err != nil {
-		return nil, false
-	}
-	for h.i < len(h.cols) {
-		if h.err = h.ctx.Err(); h.err != nil {
-			return nil, false
-		}
-		c := h.cols[h.i]
-		h.i++
-		if len(c.IDs) == 0 {
-			continue
-		}
-		h.tick[0] = c.Tick
-		h.ids[0] = c.IDs
-		h.out = Batch{Ticks: h.tick[:], IDs: h.ids[:], Sure: true}
-		return &h.out, true
-	}
-	return nil, false
-}
-
-func (h *HotScan) Err() error { return h.err }

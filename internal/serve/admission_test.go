@@ -331,12 +331,12 @@ func TestFaultInjectedBurstDegradesCleanly(t *testing.T) {
 	}
 	for key := range acked {
 		c, tick := key[0], key[1]
-		ids, covered := repo2.hot.strqRect(geo.NewRect(-1, -1, 1, 1), tick)
-		if !covered {
+		v := repo2.readView(tick, tick)
+		if len(v.cols) == 0 {
 			t.Fatalf("acked tick %d (client %d) missing entirely after recovery", tick, c)
 		}
 		found := false
-		for _, id := range ids {
+		for _, id := range v.cols[0].appendWithin(nil, geo.NewRect(-1, -1, 1, 1)) {
 			if id == uint32(10000*(c+1)) {
 				found = true
 				break

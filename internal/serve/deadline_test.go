@@ -19,6 +19,92 @@ import (
 	"ppqtraj/internal/traj"
 )
 
+// TestLongPathLenDoesNotStallIngest asks for paths 2^40 ticks long, far
+// past every resident tick. A path walk costs only the segments and hot
+// columns its view holds, never the absent ticks of the span, and runs
+// outside the hot-tail lock, so Path and STRQ return promptly and an
+// ingest racing them is acknowledged at once. The repository is closed
+// only on success: a query stuck holding the lock would hang Close.
+func TestLongPathLenDoesNotStallIngest(t *testing.T) {
+	d, cols := testData(t)
+	repo, err := Open(testOptions(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, col := range cols {
+		if err := repo.IngestColumn(col); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := repo.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// Every trajectory now ends at or before the sealed watermark.
+	tr := d.All()[0]
+	next := repo.Stats().SealedThrough + 1
+	const huge = 1 << 40
+	ctx := context.Background()
+	var (
+		path    Path
+		ans     *STRQAnswer
+		strqErr error
+	)
+	run := func(f func()) <-chan struct{} {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			f()
+		}()
+		return done
+	}
+	finished := func(done <-chan struct{}) bool {
+		select {
+		case <-done:
+			return true
+		default:
+			return false
+		}
+	}
+	start := time.Now()
+	pathDone := run(func() { path = repo.Path(ctx, tr.ID, 0, huge) })
+	strqDone := run(func() {
+		ans, strqErr = repo.STRQ(ctx, STRQRequest{P: tr.Points[0], Tick: tr.Start, PathLen: huge})
+	})
+	// One trajectory keeps ingesting while the long queries run; every
+	// batch must be acknowledged promptly.
+	for tick := next; ; tick++ {
+		var ingErr error
+		select {
+		case <-run(func() { ingErr = repo.Ingest(tick, []traj.ID{1 << 30}, []geo.Point{tr.Points[0]}) }):
+		case <-time.After(100 * time.Millisecond):
+			t.Fatalf("ingest of tick %d racing the long paths still waiting after 100ms", tick)
+		}
+		if ingErr != nil {
+			t.Fatalf("ingest: %v", ingErr)
+		}
+		if finished(pathDone) && finished(strqDone) {
+			break
+		}
+		if time.Since(start) > time.Second {
+			t.Fatal("Path or STRQ with a 2^40-tick path still running after 1s")
+		}
+	}
+
+	if path.Start != tr.Start || len(path.Points) != tr.Len() {
+		t.Fatalf("Path: %d points from tick %d, want the whole trajectory: %d from %d",
+			len(path.Points), path.Start, tr.Len(), tr.Start)
+	}
+	if strqErr != nil {
+		t.Fatalf("STRQ: %v", strqErr)
+	}
+	if p, ok := ans.Paths[tr.ID]; !ok || p.Start != tr.Start || len(p.Points) != tr.Len() {
+		t.Fatalf("STRQ path of %d: %+v, want %d points from tick %d", tr.ID, p, tr.Len(), tr.Start)
+	}
+	if err := repo.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCancelledWindowReturnsPromptly is the acceptance test for the
 // deadline-aware read path: a window query whose context is cancelled
 // mid-scatter returns promptly with a context error, and the repository

@@ -103,19 +103,3 @@ func runIterShard(ctx context.Context, s *Segment, rect geo.Rect, lo, hi int, ex
 	out.covered = s.Eng.Idx.CoveredTicks(lo, hi)
 	return out, nil
 }
-
-// runIterHot streams the snapshotted hot-tail columns through the
-// iterator layer (HotScan → Instrument(op_hot) → AppendIDs), so the hot
-// residual shows up in per-operator traces and row metrics like every
-// other operator.
-func runIterHot(ctx context.Context, cols []hotScanCol, from, to int, tr *obs.Trace) ([]traj.ID, error) {
-	if len(cols) == 0 {
-		return nil, nil
-	}
-	src := make([]exec.Column, len(cols))
-	for i, c := range cols {
-		src[i] = exec.Column{Tick: c.tick, IDs: c.ids}
-	}
-	it := exec.Instrument(ctx, exec.NewHotScan(ctx, src), tr, "op_hot")
-	return exec.AppendIDs(it, from, to, nil)
-}

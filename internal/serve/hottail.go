@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -11,7 +12,9 @@ import (
 )
 
 // hotCol is one tick's ingested points, parallel slices sorted by ID —
-// the mutable mirror of traj.Column.
+// the mutable mirror of traj.Column. Columns are append-only: ingest
+// never rewrites an element below a column's current length, so a copy
+// of the slice headers (a readView) stays valid without the lock.
 type hotCol struct {
 	ids []traj.ID
 	pts []geo.Point
@@ -26,13 +29,24 @@ func (c *hotCol) find(id traj.ID) (int, bool) {
 	return -1, false
 }
 
+// appendWithin appends the IDs whose position lies inside rect to dst.
+// Hot data is unquantized, so this is the exact answer.
+func (c *hotCol) appendWithin(dst []traj.ID, rect geo.Rect) []traj.ID {
+	for i, id := range c.ids {
+		if rect.Contains(c.pts[i]) {
+			dst = append(dst, id)
+		}
+	}
+	return dst
+}
+
 // hotTail is the repository's mutable tier: freshly ingested points kept
 // raw (exact, no quantization) and directly queryable, until the
 // compactor drains them into a sealed segment. mu also guards the
-// repository's routing view (see Repository), so the query methods
-// (strqRect, scanRange, path) and trim run under a lock their caller
-// holds — the same section that reads or publishes the view. The other
-// methods lock for themselves.
+// repository's routing view (see Repository). Queries never scan under
+// it: Repository.readView copies the routing view and the resident
+// columns' slice headers in one read section, and the append-only
+// column rule keeps those copies valid after the lock is released.
 type hotTail struct {
 	mu       sync.RWMutex
 	cols     map[int]*hotCol
@@ -126,13 +140,19 @@ func (h *hotTail) ingest(tick int, ids []traj.ID, pts []geo.Point, logged func()
 	// Append the whole batch, then restore ID order with one sort: IDs are
 	// unique per (tick) by the checks above, and a single O(n log n) pass
 	// beats per-point sorted inserts for arbitrary HTTP payloads. The sort
-	// is skipped when the column is already ordered (the common case:
-	// ID-sorted columns arriving one batch per tick).
-	wasSorted := sort.SliceIsSorted(ids, func(a, b int) bool { return ids[a] < ids[b] })
+	// is skipped when the column stays ordered (the common case: ID-sorted
+	// columns arriving one batch per tick). A read view may still be
+	// reading an existing column's elements, so a batch that breaks its
+	// order is sorted into fresh slices (Clip makes append reallocate); a
+	// new column stays invisible to readers until this section ends.
 	prevLen := len(col.ids)
+	sorted := slices.IsSorted(ids) && (prevLen == 0 || col.ids[prevLen-1] < ids[0])
+	if !sorted && prevLen > 0 {
+		col.ids, col.pts = slices.Clip(col.ids), slices.Clip(col.pts)
+	}
 	col.ids = append(col.ids, ids...)
 	col.pts = append(col.pts, pts...)
-	if !wasSorted || (prevLen > 0 && col.ids[prevLen-1] >= col.ids[prevLen]) {
+	if !sorted {
 		sort.Sort((*hotColSort)(col))
 	}
 	for _, id := range ids {
@@ -157,21 +177,12 @@ func (c *hotColSort) Swap(i, j int) {
 func (h *hotTail) tickSpan() (lo, hi int, ok bool) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	return h.tickSpanLocked()
-}
-
-func (h *hotTail) tickSpanLocked() (lo, hi int, ok bool) {
 	for t := range h.cols {
 		if !ok {
 			lo, hi, ok = t, t, true
 			continue
 		}
-		if t < lo {
-			lo = t
-		}
-		if t > hi {
-			hi = t
-		}
+		lo, hi = min(lo, t), max(hi, t)
 	}
 	return lo, hi, ok
 }
@@ -219,88 +230,4 @@ func (h *hotTail) trim(bound int) {
 			delete(h.lastSeen, id)
 		}
 	}
-}
-
-// strqRect answers the exact rectangle query over raw hot points: IDs
-// whose ingested position at tick lies inside rect. Hot data is
-// unquantized, so approximate and exact mode coincide and both have
-// precision and recall 1. The caller holds h.mu.
-func (h *hotTail) strqRect(rect geo.Rect, tick int) (ids []traj.ID, covered bool) {
-	col := h.cols[tick]
-	if col == nil {
-		return nil, false
-	}
-	for i, id := range col.ids {
-		if rect.Contains(col.pts[i]) {
-			ids = append(ids, id)
-		}
-	}
-	return ids, true
-}
-
-// hotScanCol is one tick's hot-tail answer inside a range scan.
-type hotScanCol struct {
-	tick int
-	ids  []traj.ID
-}
-
-// scanRange answers the exact rectangle query for every resident tick of
-// [from, to] — the hot half of the repository's window executor. It
-// returns the non-empty per-tick matches (IDs ascending, fresh slices),
-// the number of resident ticks probed (the Covered count a per-tick loop
-// would have seen), and whether the span overlapped the tail's resident
-// tick range at all (the planner's "sources" accounting, which counts
-// overlap, not residency). The caller holds h.mu.
-func (h *hotTail) scanRange(rect geo.Rect, from, to int) (cols []hotScanCol, covered int, overlaps bool) {
-	lo, hi, ok := h.tickSpanLocked()
-	if !ok {
-		return nil, 0, false
-	}
-	from, to = max(from, lo), min(to, hi)
-	overlaps = from <= to
-	for t := from; t <= to; t++ {
-		col := h.cols[t]
-		if col == nil {
-			continue
-		}
-		covered++
-		var ids []traj.ID
-		for i, id := range col.ids {
-			if rect.Contains(col.pts[i]) {
-				ids = append(ids, id)
-			}
-		}
-		if len(ids) > 0 {
-			cols = append(cols, hotScanCol{tick: t, ids: ids})
-		}
-	}
-	return cols, covered, overlaps
-}
-
-// path collects id's raw positions over ticks [from, from+l), in tick
-// order, stopping at the first tick where the trajectory is absent after
-// having been present (positions are contiguous by the ingest contract).
-// The caller holds h.mu.
-func (h *hotTail) path(id traj.ID, from, l int) (pts []geo.Point, start int) {
-	start = from
-	for t := from; t < from+l; t++ {
-		col := h.cols[t]
-		var p geo.Point
-		ok := false
-		if col != nil {
-			var i int
-			if i, ok = col.find(id); ok {
-				p = col.pts[i]
-			}
-		}
-		if !ok {
-			if len(pts) > 0 {
-				break
-			}
-			start = t + 1
-			continue
-		}
-		pts = append(pts, p)
-	}
-	return pts, start
 }

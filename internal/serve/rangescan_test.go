@@ -41,7 +41,8 @@ func windowRects(cols []*traj.Column, n int, seed int64) []geo.Rect {
 // must reproduce are tallied. The repository must be quiescent.
 func perTickWindow(t *testing.T, repo *Repository, cols []*traj.Column, rect geo.Rect, from, to int, exact bool) (ids []traj.ID, ticks, sources int) {
 	t.Helper()
-	segs, sealed := repo.view()
+	v := repo.readView(0, -1)
+	segs, sealed := v.segs, v.sealed
 	seen := make(map[traj.ID]struct{})
 	for _, s := range segs {
 		lo, hi := max(from, s.StartTick), min(to, s.EndTick)

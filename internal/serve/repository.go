@@ -18,7 +18,6 @@ import (
 	"ppqtraj/internal/admit"
 	"ppqtraj/internal/cache"
 	"ppqtraj/internal/core"
-	"ppqtraj/internal/exec"
 	"ppqtraj/internal/geo"
 	"ppqtraj/internal/index"
 	"ppqtraj/internal/obs"
@@ -235,8 +234,8 @@ type Repository struct {
 
 	// hot.mu guards the routing view (segs, sealedThrough) together with
 	// the hot columns, so publishing a segment and trimming the ticks it
-	// covers is one write section, and one read section sees every tick in
-	// exactly one tier. Lock order: compactMu → hot.mu.
+	// covers is one write section, and one read section (readView) sees
+	// every tick in exactly one tier. Lock order: compactMu → hot.mu.
 	hot           *hotTail
 	segs          []*Segment // ascending, disjoint tick ranges
 	sealedThrough int        // ticks ≤ this are served by segments
@@ -521,13 +520,13 @@ func (r *Repository) loadManifest() error {
 // writeManifest swaps in a fresh manifest reflecting the current sealed
 // view. Callers hold compactMu.
 func (r *Repository) writeManifest() error {
-	segs, sealed := r.view()
+	v := r.readView(0, -1)
 	m := manifest{
 		Version:       manifestVersion,
 		NextSegmentID: r.nextSegID,
-		SealedThrough: sealed,
+		SealedThrough: v.sealed,
 	}
-	for _, s := range segs {
+	for _, s := range v.segs {
 		m.Segments = append(m.Segments, manifestSegment{
 			ID: s.ID, File: s.File,
 			StartTick: s.StartTick, EndTick: s.EndTick, Points: s.Points,
@@ -587,8 +586,7 @@ func (r *Repository) Close() error {
 		err = r.wal.Close()
 	}
 	if r.cells != nil {
-		segs, _ := r.view()
-		for _, s := range segs {
+		for _, s := range r.readView(0, -1).segs {
 			r.cells.InvalidateOwner(s.CacheOwner)
 		}
 	}
@@ -870,7 +868,7 @@ func (r *Repository) compactOnce(force bool) error {
 	// byte-identical manifest would cost two more fsyncs per compaction.
 	// Only the compactor advances the watermark, so the read below cannot
 	// go stale before the publish.
-	_, sealed := r.view()
+	sealed := r.readView(0, -1).sealed
 	advanced := bound > sealed
 	if advanced {
 		r.publish(nil, bound)
@@ -904,16 +902,6 @@ func (r *Repository) publish(seg *Segment, through int) {
 	}
 	r.sealedThrough = through
 	r.hot.trim(through)
-}
-
-// view snapshots the routing state: the published segment list and the
-// sealed watermark. Segments are immutable, so the caller can query them
-// lock-free afterwards. A reader that also needs hot-tail data takes both
-// in one hot.mu read section instead.
-func (r *Repository) view() (segs []*Segment, sealedThrough int) {
-	r.hot.mu.RLock()
-	defer r.hot.mu.RUnlock()
-	return r.segs, r.sealedThrough
 }
 
 // findSegment returns the segment covering tick, or nil. Segments are
@@ -994,99 +982,55 @@ type STRQAnswer struct {
 	Err        string           `json:"error,omitempty"`
 }
 
-// strqTick routes one rectangle probe to the tier owning the tick. The
-// routing view and the hot probe share one hot-tail read section, so a
-// tick above the watermark is still resident when the probe reads it.
-func (r *Repository) strqTick(ctx context.Context, cell geo.Rect, tick int, exact bool) (STRQAnswer, error) {
-	ans := STRQAnswer{Tick: tick, Cell: cell, Source: "none"}
-	if err := ctx.Err(); err != nil {
-		return ans, err
-	}
-	r.hot.mu.RLock()
-	segs, sealed := r.segs, r.sealedThrough
-	if tick > sealed {
-		ids, covered := r.hot.strqRect(cell, tick)
-		r.hot.mu.RUnlock()
-		if covered {
-			ans.Covered = true
-			ans.IDs = ids
-			ans.Candidates = len(ids)
-			ans.Source = "hot"
-		}
-		return ans, nil
-	}
-	r.hot.mu.RUnlock()
-	seg := findSegment(segs, tick)
-	if seg == nil {
-		return ans, nil
-	}
-	res, err := seg.Eng.STRQRect(ctx, cell, tick, exact, nil)
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return ans, err
-		}
-		return ans, fmt.Errorf("serve: segment %d: %w", seg.ID, err)
-	}
-	ans.Covered = res.Covered
-	ans.IDs = res.IDs
-	ans.Candidates = res.Candidates
-	ans.Visited = res.Visited
-	ans.Source = fmt.Sprintf("segment:%d", seg.ID)
-	return ans, nil
-}
-
 // STRQ answers "who was in the query cell of p at tick". Ticks at or
 // below the sealed watermark route to the covering segment's engine
 // (approximate: recall 1 by the local-search guarantee; exact: verified
 // against raw storage); fresher ticks are answered exactly from the raw
-// hot tail. ctx bounds the work: a cancelled or expired context aborts
-// the query and returns the context error.
+// hot tail. The probe and every path it asks for read one view. ctx
+// bounds the work: a cancelled or expired context aborts the query and
+// returns the context error.
 func (r *Repository) STRQ(ctx context.Context, req STRQRequest) (*STRQAnswer, error) {
+	v := r.readView(req.Tick, req.lastTick())
+	ans, err := r.probe(ctx, &v, req)
+	if err != nil {
+		return nil, err
+	}
+	return &ans, nil
+}
+
+// probe answers one request against v, counting it in the query
+// metrics.
+func (r *Repository) probe(ctx context.Context, v *readView, req STRQRequest) (STRQAnswer, error) {
 	r.met.queries.Inc()
 	// Same rules as the HTTP layer, so programmatic callers get an error
 	// instead of a silent empty answer.
 	if err := req.Validate(); err != nil {
 		r.met.queryErrors.Inc()
-		return nil, fmt.Errorf("serve: %w", err)
+		return STRQAnswer{}, fmt.Errorf("serve: %w", err)
 	}
-	ans, err := r.strqTick(ctx, r.QueryCell(req.P), req.Tick, req.Exact)
+	ans, err := v.answer(ctx, r.QueryCell(req.P), req)
 	if err != nil {
 		r.met.queryErrors.Inc()
-		return nil, err
 	}
-	if req.PathLen > 0 && len(ans.IDs) > 0 {
-		ans.Paths = make(map[traj.ID]Path, len(ans.IDs))
-		for _, id := range ans.IDs {
-			// Per-ID check: a wide match list reconstructs many paths, and
-			// cancellation latency must not grow with the match count.
-			if err := ctx.Err(); err != nil {
-				r.met.queryErrors.Inc()
-				return nil, err
-			}
-			ans.Paths[id] = r.Path(ctx, id, req.Tick, req.PathLen)
-		}
-		if err := ctx.Err(); err != nil {
-			r.met.queryErrors.Inc()
-			return nil, err
-		}
-	}
-	return &ans, nil
+	return ans, err
 }
 
-// Batch answers many queries concurrently on a bounded worker pool.
-// Per-query failures land in the answer's Err field instead of failing
-// the batch; a context cancelled mid-batch marks the remaining answers
-// with the context error instead of leaving them zero-valued.
+// Batch answers many queries concurrently on a bounded worker pool, all
+// against one view spanning every probe tick and path. Per-query
+// failures land in the answer's Err field instead of failing the batch;
+// a context cancelled mid-batch marks the remaining answers with the
+// context error instead of leaving them zero-valued.
 func (r *Repository) Batch(ctx context.Context, reqs []STRQRequest) []STRQAnswer {
 	out := make([]STRQAnswer, len(reqs))
+	v := r.readView(batchSpan(reqs))
 	par.ForCtx(ctx, par.Workers(r.opts.Workers), len(reqs), 1, func(ctx context.Context, _, lo, hi int) { //nolint:errcheck // context failures land per-answer
 		for i := lo; i < hi; i++ {
-			ans, err := r.STRQ(ctx, reqs[i])
+			ans, err := r.probe(ctx, &v, reqs[i])
 			if err != nil {
 				out[i] = STRQAnswer{Tick: reqs[i].Tick, Cell: r.QueryCell(reqs[i].P), Err: err.Error()}
 				continue
 			}
-			out[i] = *ans
+			out[i] = ans
 		}
 	})
 	if err := ctx.Err(); err != nil {
@@ -1104,67 +1048,15 @@ func (r *Repository) Batch(ctx context.Context, reqs []STRQRequest) []STRQAnswer
 }
 
 // Path reconstructs trajectory id over ticks [from, from+l), stitching
-// the answer across every sealed segment it spans plus the hot tail.
-// Sealed ranges return the quantized reconstruction (deviation ≤ the
-// summary's bound); hot ranges return raw points. The routing view and
-// the hot residual come from one hot-tail read section, so a concurrent
-// compaction cannot move ticks out from under the stitch. Cancellation
-// is best-effort: a done context stops the stitching walk and returns the
-// (possibly partial) path built so far — callers that must surface the
-// cancellation check ctx.Err() themselves, as STRQ does.
+// the answer across every sealed segment it spans plus the hot tail, all
+// from one view. Sealed ranges return the quantized reconstruction
+// (deviation ≤ the summary's bound); hot ranges return raw points.
+// Cancellation is best-effort: a done context stops the stitching walk
+// and returns the (possibly partial) path built so far — callers that
+// must surface the cancellation check ctx.Err() themselves, as STRQ does.
 func (r *Repository) Path(ctx context.Context, id traj.ID, from, l int) Path {
-	end := from + l
-	r.hot.mu.RLock()
-	segs, sealed := r.segs, r.sealedThrough
-	hotFrom := max(from, sealed+1)
-	var hotPts []geo.Point
-	hotStart := hotFrom
-	if hotFrom < end {
-		hotPts, hotStart = r.hot.path(id, hotFrom, end-hotFrom)
-	}
-	r.hot.mu.RUnlock()
-
-	// The sealed walk shares the window planner's span splitter
-	// (exec.SplitSpan), so the two layers agree on segment-boundary
-	// clipping by construction.
-	out := Path{Start: from}
-	started := false
-	gap := false
-	cursor := from
-	exec.SplitSpan(from, end-1, len(segs), func(i int) exec.TickRange {
-		return exec.TickRange{Lo: segs[i].StartTick, Hi: segs[i].EndTick}
-	}, func(i int, sub exec.TickRange) {
-		// A segment entirely behind the stitch cursor (or any segment
-		// once the path is complete or broken) contributes nothing.
-		if gap || cursor >= end || sub.Hi < cursor || ctx.Err() != nil {
-			return
-		}
-		pts, st := segs[i].reconstructedPath(id, cursor, end-cursor)
-		if len(pts) == 0 {
-			return
-		}
-		if !started {
-			out.Start = st
-			started = true
-		} else if st != out.Start+len(out.Points) {
-			gap = true // trajectory ended and this is another life of the ID
-			return
-		}
-		out.Points = append(out.Points, pts...)
-		cursor = st + len(pts)
-	})
-	// The hot residual continues the path only where the sealed walk
-	// reached the watermark, or starts it where the walk found nothing.
-	if gap || len(hotPts) == 0 || started && cursor <= sealed || ctx.Err() != nil {
-		return out
-	}
-	if !started {
-		out.Start = hotStart
-		out.Points = hotPts
-	} else if hotStart == out.Start+len(out.Points) {
-		out.Points = append(out.Points, hotPts...)
-	}
-	return out
+	v := r.readView(from, spanEnd(from, l)-1)
+	return v.path(ctx, id, from, l)
 }
 
 // WindowResult is a time-window query answer: every trajectory that
@@ -1186,8 +1078,8 @@ type WindowResult struct {
 }
 
 // Window answers the window query with internal/exec iterator plans. One
-// hot-tail read section snapshots the routing view and scans the hot
-// residual above its sealed watermark. Then the span is split at segment
+// read view holds the routing view and the hot columns above its sealed
+// watermark, which are scanned directly. Then the span is split at segment
 // boundaries, segments whose zone map cannot intersect the query's
 // local-search area are skipped outright, one plan per surviving segment
 // walks its postings once for the whole sub-span (fanned out on the
@@ -1221,25 +1113,14 @@ func (r *Repository) windowRange(ctx context.Context, rect geo.Rect, from, to in
 		return nil, err
 	}
 
-	// One hot-tail read section takes the routing view and the hot
-	// residual above its watermark; everything after it reads immutable
-	// segments and private copies. Hot points are raw, so approximate and
-	// exact mode coincide.
-	var (
-		hotCols     []hotScanCol
-		hotCovered  int
-		hotOverlaps bool
-	)
-	r.hot.mu.RLock()
-	segs, sealed := r.segs, r.sealedThrough
-	hotFrom := max(from, sealed+1)
-	if to >= hotFrom {
-		hotCols, hotCovered, hotOverlaps = r.hot.scanRange(rect, hotFrom, to)
-	}
-	r.hot.mu.RUnlock()
-	hotIDs, err := runIterHot(ctx, hotCols, hotFrom, to, tr)
-	if err != nil {
-		return nil, err
+	// One view holds the segments and the hot columns above their
+	// watermark. Hot points are raw, so approximate and exact mode
+	// coincide; each column's matches are distinct, like a shard's.
+	v := r.readView(from, to)
+	segs := v.segs
+	var hotIDs []traj.ID
+	for i := range v.cols {
+		hotIDs = v.cols[i].appendWithin(hotIDs, rect)
 	}
 	tr.Lap("hot_scan")
 
@@ -1249,7 +1130,7 @@ func (r *Repository) windowRange(ctx context.Context, rect geo.Rect, from, to in
 	// the rest largest first so the parallel fan-out's tail stays short.
 	ordered, pruned := planWindow(segs, rect, from, to)
 	sources := len(ordered) + len(pruned)
-	if hotOverlaps {
+	if v.hotOverlaps {
 		sources++
 	}
 	skipped := len(pruned)
@@ -1291,7 +1172,7 @@ func (r *Repository) windowRange(ctx context.Context, rect geo.Rect, from, to in
 	// per-tick ID sets, so the flat list is mostly runs of near-equal
 	// values — a single sort beats per-ID map inserts by a wide margin at
 	// window scale.
-	probed := skippedTicks + hotCovered
+	probed := skippedTicks + len(v.cols)
 	total := len(hotIDs)
 	var scan index.ScanStats
 	var scanRows, verifyRows int64
@@ -1330,7 +1211,7 @@ func (r *Repository) windowRange(ctx context.Context, rect geo.Rect, from, to in
 	if exact {
 		operators += int64(len(ordered)) // exact-verify sink
 	}
-	if hotOverlaps {
+	if v.hotOverlaps {
 		operators++
 	}
 	operators++ // the final merge
@@ -1339,7 +1220,7 @@ func (r *Repository) windowRange(ctx context.Context, rect geo.Rect, from, to in
 	r.met.execOpsPerPlan.Observe(float64(operators))
 	r.met.execOpRows.Observe(float64(scanRows))
 	r.met.execOpRows.Observe(float64(verifyRows))
-	if hotOverlaps {
+	if v.hotOverlaps {
 		r.met.execOpRows.Observe(float64(len(hotIDs)))
 	}
 	r.met.execOpRows.Observe(float64(len(res.IDs)))
@@ -1472,6 +1353,5 @@ func (r *Repository) Degraded() error {
 
 // Segments returns the current sealed segments (immutable; do not modify).
 func (r *Repository) Segments() []*Segment {
-	segs, _ := r.view()
-	return segs
+	return r.readView(0, -1).segs
 }

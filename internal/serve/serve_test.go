@@ -110,8 +110,17 @@ func TestConcurrentMixedWorkloadMatchesStatic(t *testing.T) {
 				// is still being recorded, so it bounds what a path can see.
 				seenTo := cols[min(int(after)+1, len(cols)-1)].Tick
 				for _, id := range ans.IDs {
-					if err := checkPath(repo, d, id, ans.Paths[id], col.Tick, pathLen, cols[hi].Tick, seenTo); err != nil {
+					p := ans.Paths[id]
+					if err := checkPath(repo, d, id, p, col.Tick, pathLen, cols[hi].Tick, seenTo); err != nil {
 						errCh <- fmt.Errorf("worker %d: %w", wk, err)
+						return
+					}
+					// The probe and its paths read one view: a hot answer's
+					// paths start at the raw point the probe matched, never
+					// at a reconstruction sealed after the probe.
+					if tr, _ := d.Lookup(id); ans.Source == "hot" && p.Points[0] != tr.Points[col.Tick-tr.Start] {
+						errCh <- fmt.Errorf("worker %d: hot answer at tick %d: trajectory %d's path starts at %v, not the raw %v",
+							wk, col.Tick, id, p.Points[0], tr.Points[col.Tick-tr.Start])
 						return
 					}
 				}

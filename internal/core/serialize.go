@@ -240,9 +240,18 @@ func sortedCoeffLabels(m map[int]predict.Coefficients) []int {
 
 // ReadSummary deserializes a summary written by WriteTo and rebuilds its
 // reconstruction caches by replaying the decoder. Any inconsistency in
-// the stored parameters surfaces as an error here.
+// the stored parameters, and any read that fails or runs out of bytes
+// (a truncated file), is an ErrBadFormat error; the underlying read
+// error stays matchable with errors.Is.
 func ReadSummary(r io.Reader) (*Summary, error) {
-	rd := &reader{r: bufio.NewReader(r)}
+	s, err := readSummary(&reader{r: bufio.NewReader(r)})
+	if err != nil && !errors.Is(err, ErrBadFormat) {
+		return nil, fmt.Errorf("%w: %w", ErrBadFormat, err)
+	}
+	return s, err
+}
+
+func readSummary(rd *reader) (*Summary, error) {
 	magic := make([]byte, len(summaryMagic))
 	if _, err := io.ReadFull(rd.r, magic); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)

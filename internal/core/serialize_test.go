@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math"
 	"testing"
 
@@ -172,9 +173,6 @@ func TestReadSummaryRejectsBadHeaders(t *testing.T) {
 	cases := []struct {
 		name string
 		blob func(*testing.T) []byte
-		// eof marks a count that runs past the end of the blob instead of
-		// failing a range check.
-		eof bool
 	}{
 		{name: "eps zero", blob: opts(func(o *Options) { o.Epsilon1 = 0 })},
 		{name: "eps negative", blob: opts(func(o *Options) { o.Epsilon1 = -1 })},
@@ -188,7 +186,9 @@ func TestReadSummaryRejectsBadHeaders(t *testing.T) {
 			s.Ticks[0] = &TickSummary{Coeffs: map[int]predict.Coefficients{0: make(predict.Coefficients, s.Opts.K+1)}}
 			return encode(t, s)
 		}},
-		{name: "huge entry count", eof: true, blob: func(t *testing.T) []byte {
+		// The count runs past the end of the blob: the short read is the
+		// error, and it is ErrBadFormat too.
+		{name: "huge entry count", blob: func(t *testing.T) []byte {
 			b := encode(t, base())
 			return binary.AppendUvarint(b[:len(b)-1], 1<<61)
 		}},
@@ -210,10 +210,31 @@ func TestReadSummaryRejectsBadHeaders(t *testing.T) {
 			if err == nil {
 				t.Fatal("loaded without error")
 			}
-			if !c.eof && !errors.Is(err, ErrBadFormat) {
+			if !errors.Is(err, ErrBadFormat) {
 				t.Fatalf("err = %v, want ErrBadFormat", err)
 			}
 		})
+	}
+}
+
+// TestReadSummaryTruncationIsBadFormat cuts a real summary at every
+// length short of the whole: each prefix must fail as ErrBadFormat, with
+// the short read still visible underneath.
+func TestReadSummaryTruncationIsBadFormat(t *testing.T) {
+	d := gen.Porto(gen.Config{NumTrajectories: 3, MinLen: 10, MaxLen: 14, Seed: 8})
+	var buf bytes.Buffer
+	if _, err := Build(d, DefaultOptions(partition.Spatial, 0.1)).WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	blob := buf.Bytes()
+	for n := 0; n < len(blob); n++ {
+		_, err := ReadSummary(bytes.NewReader(blob[:n]))
+		if !errors.Is(err, ErrBadFormat) {
+			t.Fatalf("prefix %d/%d: err = %v, want ErrBadFormat", n, len(blob), err)
+		}
+		if n >= len(summaryMagic) && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("prefix %d/%d: err = %v lost the short read", n, len(blob), err)
+		}
 	}
 }
 

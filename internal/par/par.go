@@ -1,14 +1,22 @@
-// Package par provides the deterministic fork-join primitive used by the
-// build pipeline's hot loops: fixed, contiguous range splits executed on
-// up to runtime.NumCPU() goroutines. Work is divided by index range, never
+// Package par provides the two fork-join primitives of the build and
+// serving paths, both capped at GOMAXPROCS goroutines.
+//
+// For splits an index range into fixed contiguous chunks, never
 // work-stolen, so each output slot is written by exactly one worker and a
-// parallel run produces bit-identical results to a sequential one.
+// parallel run produces bit-identical results to a sequential one; the
+// chunk index selects per-worker scratch. Use it for reductions and for
+// loops whose output depends on the split.
+//
+// EachCtx hands out single indices from one shared counter, so slow items
+// do not pile up behind one worker. Use it for independent per-slot tasks
+// of uneven cost, submitted largest first.
 package par
 
 import (
 	"context"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Workers resolves a worker-count option: n > 0 is used as-is, anything
@@ -64,18 +72,44 @@ func For(workers, n, grain int, body func(w, lo, hi int)) {
 	wg.Wait()
 }
 
-// ForCtx is For with cooperative cancellation: an already-done context
-// skips the fan-out entirely, and the body receives ctx so each chunk can
-// bail out between items. ForCtx still waits for every launched chunk to
-// return — cancellation is a request to stop early, not an abandonment of
-// running workers — and returns ctx.Err() when the context was done
-// before or during the run.
-func ForCtx(ctx context.Context, workers, n, grain int, body func(ctx context.Context, w, lo, hi int)) error {
+// EachCtx runs body(ctx, i) once for every i in [0, n) on at most
+// `workers` goroutines (and at most GOMAXPROCS and n). Each worker claims
+// the next unclaimed index from one atomic counter, so indices start in
+// ascending order and a caller that submits its items largest first gets
+// the longest-processing-time-first schedule. The body must write only
+// state owned by slot i.
+//
+// When the caps leave one worker the body runs inline, in index order,
+// on the caller's goroutine. An already-done context skips the work
+// entirely; otherwise cancellation is the body's to observe through ctx.
+// EachCtx waits for every started body and returns ctx.Err().
+func EachCtx(ctx context.Context, workers, n int, body func(ctx context.Context, i int)) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	For(workers, n, grain, func(w, lo, hi int) {
-		body(ctx, w, lo, hi)
-	})
+	if workers > runtime.GOMAXPROCS(0) {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			body(ctx, i)
+		}
+		return ctx.Err()
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				body(ctx, i)
+			}
+		}()
+	}
+	wg.Wait()
 	return ctx.Err()
 }

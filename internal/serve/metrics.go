@@ -147,6 +147,10 @@ func (r *Repository) registerSources() {
 			"WAL points re-applied to the hot tail at startup.", float64(r.replayedPoints))
 		counter("ppq_orphans_removed_total",
 			"Unreferenced data files deleted at startup.", float64(r.orphansRemoved))
+		gauge("ppq_open_load_seconds",
+			"Wall time Open spent loading the manifest's sealed segments.", r.openLoad.Seconds())
+		gauge("ppq_open_load_busy_seconds",
+			"Sum of per-segment load times at Open (busy / wall = achieved parallelism).", r.openLoadBusy.Seconds())
 
 		ws := r.wal.Stats()
 		walGauge := func(name, help string, v float64) { gauge(name, help, v) }
@@ -253,8 +257,10 @@ func (r *Repository) statsFromSnapshot(snap *obs.Snapshot) Stats {
 			Reclaimed:       snap.Int("ppq_wal_reclaimed_segments_total"),
 			Failed:          walFailed,
 		},
-		WALReplayedPoints: snap.Int("ppq_replayed_points_total"),
-		OrphansRemoved:    snap.Int("ppq_orphans_removed_total"),
+		WALReplayedPoints:   snap.Int("ppq_replayed_points_total"),
+		OrphansRemoved:      snap.Int("ppq_orphans_removed_total"),
+		OpenLoadSeconds:     snap.Value("ppq_open_load_seconds"),
+		OpenLoadBusySeconds: snap.Value("ppq_open_load_busy_seconds"),
 		Window: WindowStats{
 			Queries:         snap.Int("ppq_window_queries_total"),
 			SegmentsScanned: snap.Int("ppq_window_segments_scanned_total"),

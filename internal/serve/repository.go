@@ -61,7 +61,9 @@ type Options struct {
 	// compacted ticks return query.ErrNoRaw (hot-tail ticks are raw by
 	// nature and always answer exactly).
 	Raw *traj.Dataset
-	// Workers bounds batch-query fan-out (0 = GOMAXPROCS).
+	// Workers bounds the goroutines of batch probes, window segment scans
+	// and segment loading at Open. 0 means runtime.NumCPU(); either way
+	// the pool is capped at GOMAXPROCS. 1 runs each of them serially.
 	Workers int
 	// CacheBytes budgets the shared decoded-cell cache sitting in front
 	// of every sealed segment's compressed postings: repeated STRQ/window
@@ -262,8 +264,10 @@ type Repository struct {
 	wg   sync.WaitGroup
 
 	// Set once during Open, before any goroutine starts.
-	replayedPoints int64 // WAL points re-applied to the hot tail
-	orphansRemoved int64 // unreferenced files deleted at startup
+	replayedPoints int64         // WAL points re-applied to the hot tail
+	orphansRemoved int64         // unreferenced files deleted at startup
+	openLoad       time.Duration // wall time of the sealed-segment loads
+	openLoadBusy   time.Duration // sum of the per-segment load times
 
 	// met holds every counter and histogram the serving layer owns; the
 	// registry inside it is the single source /v1/stats and /metrics
@@ -477,7 +481,28 @@ func (r *Repository) gcOrphans() error {
 	return nil
 }
 
-// loadManifest restores the sealed-segment view from disk.
+// SegmentError reports a sealed segment that Open could not load: a
+// missing, unreadable or corrupt file (errors.Is(err, core.ErrBadFormat)
+// for a malformed one). With several bad segments, Open reports the one
+// with the lowest start tick.
+type SegmentError struct {
+	File string // the segment's manifest-relative file name
+	Err  error
+}
+
+func (e *SegmentError) Error() string {
+	return fmt.Sprintf("serve: loading segment %s: %v", e.File, e.Err)
+}
+
+func (e *SegmentError) Unwrap() error { return e.Err }
+
+// loadManifest restores the sealed-segment view from disk. Segments are
+// independent immutable files, so they load on the bounded worker pool,
+// largest first so the pool's tail is a small segment; with one worker
+// they load serially in tick order. Every load runs to completion, and
+// only then are the results published serially in tick order — zone
+// sidecar upgrades, cache owner tokens and the segment list come out
+// exactly as a serial open would leave them, whatever the worker count.
 func (r *Repository) loadManifest() error {
 	raw, err := os.ReadFile(filepath.Join(r.opts.Dir, manifestName))
 	if os.IsNotExist(err) {
@@ -494,10 +519,32 @@ func (r *Repository) loadManifest() error {
 		return fmt.Errorf("serve: unsupported manifest version %d", m.Version)
 	}
 	sort.Slice(m.Segments, func(i, j int) bool { return m.Segments[i].StartTick < m.Segments[j].StartTick })
-	for _, ms := range m.Segments {
-		seg, err := loadSegment(r.opts.Dir, ms, r.opts.Index, r.opts.Raw)
-		if err != nil {
-			return err
+
+	workers := par.Workers(r.opts.Workers)
+	order := make([]int, len(m.Segments))
+	for i := range order {
+		order[i] = i
+	}
+	if workers > 1 {
+		// Stable, so equal sizes keep tick order.
+		sort.SliceStable(order, func(a, b int) bool { return m.Segments[order[a]].Points > m.Segments[order[b]].Points })
+	}
+	loaded := make([]*Segment, len(m.Segments))
+	errs := make([]error, len(m.Segments))
+	var busy atomic.Int64
+	start := time.Now()
+	par.EachCtx(context.Background(), workers, len(order), func(_ context.Context, k int) { //nolint:errcheck // the background context never ends
+		i := order[k]
+		t0 := time.Now()
+		loaded[i], errs[i] = loadSegment(r.opts.Dir, m.Segments[i], r.opts.Index, r.opts.Raw)
+		busy.Add(int64(time.Since(t0)))
+	})
+	r.openLoad = time.Since(start)
+	r.openLoadBusy = time.Duration(busy.Load())
+
+	for i, seg := range loaded {
+		if errs[i] != nil {
+			return &SegmentError{File: m.Segments[i].File, Err: errs[i]}
 		}
 		if seg.zoneRebuilt {
 			// Upgrade pre-zone-map directories in place — but only
@@ -1023,18 +1070,15 @@ func (r *Repository) probe(ctx context.Context, v *readView, req STRQRequest) (S
 func (r *Repository) Batch(ctx context.Context, reqs []STRQRequest) []STRQAnswer {
 	out := make([]STRQAnswer, len(reqs))
 	v := r.readView(batchSpan(reqs))
-	par.ForCtx(ctx, par.Workers(r.opts.Workers), len(reqs), 1, func(ctx context.Context, _, lo, hi int) { //nolint:errcheck // context failures land per-answer
-		for i := lo; i < hi; i++ {
-			ans, err := r.probe(ctx, &v, reqs[i])
-			if err != nil {
-				out[i] = STRQAnswer{Tick: reqs[i].Tick, Cell: r.QueryCell(reqs[i].P), Err: err.Error()}
-				continue
-			}
-			out[i] = ans
+	par.EachCtx(ctx, par.Workers(r.opts.Workers), len(reqs), func(ctx context.Context, i int) { //nolint:errcheck // context failures land per-answer
+		ans, err := r.probe(ctx, &v, reqs[i])
+		if err != nil {
+			ans = STRQAnswer{Tick: reqs[i].Tick, Cell: r.QueryCell(reqs[i].P), Err: err.Error()}
 		}
+		out[i] = ans
 	})
 	if err := ctx.Err(); err != nil {
-		// ForCtx may have skipped the fan-out entirely; make every
+		// EachCtx may have skipped the fan-out entirely; make every
 		// unanswered slot carry the context error.
 		//ppqvet:allow ctxcancel this loop only runs once ctx is already
 		// done — it relabels the answer slice, bounded by len(reqs).
@@ -1142,14 +1186,13 @@ func (r *Repository) windowRange(ctx context.Context, rect geo.Rect, from, to in
 
 	// One scan per surviving segment, on the same bounded pool Batch uses
 	// — a wide window over a long-lived repository can overlap hundreds of
-	// segments.
+	// segments. Workers claim scans one at a time in plan order, so the
+	// largest start first.
 	results := make([]shardResult, len(ordered))
 	errs := make([]error, len(ordered))
-	if err := par.ForCtx(ctx, par.Workers(r.opts.Workers), len(ordered), 1, func(ctx context.Context, _, wlo, whi int) {
-		for i := wlo; i < whi; i++ {
-			sc := ordered[i]
-			results[i], errs[i] = runIterShard(ctx, segs[sc.ID], rect, sc.Span.Lo, sc.Span.Hi, exact, tr)
-		}
+	if err := par.EachCtx(ctx, par.Workers(r.opts.Workers), len(ordered), func(ctx context.Context, i int) {
+		sc := ordered[i]
+		results[i], errs[i] = runIterShard(ctx, segs[sc.ID], rect, sc.Span.Lo, sc.Span.Hi, exact, tr)
 	}); err != nil {
 		return nil, err
 	}
@@ -1258,6 +1301,11 @@ type Stats struct {
 	WALReplayedPoints int64 `json:"wal_replayed_points"`
 	// OrphansRemoved is how many unreferenced data files startup deleted.
 	OrphansRemoved int64 `json:"orphans_removed"`
+	// OpenLoadSeconds is the wall time Open spent loading sealed
+	// segments; OpenLoadBusySeconds sums the per-segment load times, so
+	// their ratio is the parallelism the load achieved.
+	OpenLoadSeconds     float64 `json:"open_load_seconds"`
+	OpenLoadBusySeconds float64 `json:"open_load_busy_seconds"`
 	// Window reports the window range-executor's planner telemetry.
 	Window WindowStats `json:"window"`
 	// Admission reports the overload valve: per-class in-flight /

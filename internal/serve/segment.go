@@ -135,21 +135,22 @@ func (s *Segment) persist(dir string) error {
 // (which replays the decoder and verifies self-containment) and the TPI
 // engine is rebuilt from the reconstructions — reconstruction is
 // deterministic, so a reloaded segment answers queries identically to the
-// one that was persisted.
+// one that was persisted. It touches only its own files and the returned
+// segment, so loadManifest runs many at once; the caller wraps a failure
+// in a SegmentError naming the file.
 func loadSegment(dir string, m manifestSegment, iopts index.Options, raw *traj.Dataset) (*Segment, error) {
-	path := filepath.Join(dir, m.File)
-	f, err := os.Open(path)
+	f, err := os.Open(filepath.Join(dir, m.File))
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
 	sum, err := core.ReadSummary(f)
 	if err != nil {
-		return nil, fmt.Errorf("serve: reading %s: %w", path, err)
+		return nil, fmt.Errorf("reading summary: %w", err)
 	}
 	eng, err := query.BuildEngine(sum, iopts, raw)
 	if err != nil {
-		return nil, fmt.Errorf("serve: rebuilding engine for %s: %w", path, err)
+		return nil, fmt.Errorf("rebuilding engine: %w", err)
 	}
 	sz, _ := f.Seek(0, io.SeekEnd)
 	seg := &Segment{

@@ -52,7 +52,7 @@ func main() {
 	epsP := flag.Float64("epsp", 0.1, "partition radius ε_p")
 	preload := flag.Int("preload", 0, "ingest this many synthetic Porto trajectories at startup")
 	seed := flag.Int64("seed", 42, "synthetic preload seed")
-	cacheMB := flag.Int64("cache-mb", 64, "decoded-cell cache budget in MiB (0 disables)")
+	cacheMB := flag.Int64("cache-mb", 64, "decoded-cell cache budget in MiB for STRQ/point probes (0 disables)")
 	fsync := flag.String("fsync", "interval",
 		"WAL sync policy: always (no acknowledged ingest is ever lost), interval (background fsync), never (OS decides)")
 	fsyncEvery := flag.Duration("fsync-interval", 100*time.Millisecond, "background fsync period under -fsync=interval")

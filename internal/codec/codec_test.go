@@ -351,3 +351,41 @@ func BenchmarkPostingEncode(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPostingDecode decodes a cell's worth of postings, one per
+// tick: short lists of clustered IDs whose first ID takes the escape,
+// the shape window scans decode. It reports decoded IDs per second.
+func BenchmarkPostingDecode(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	lists := make([][]uint32, 256)
+	for i := range lists {
+		id := uint32(50000 + rng.Intn(200000))
+		for n := 1 + rng.Intn(40); n > 0; n-- {
+			lists[i] = append(lists[i], id)
+			id += uint32(1 + rng.ExpFloat64()*40)
+		}
+	}
+	c, err := NewPostingCoder(lists)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var arena []byte
+	posts := make([]PostingList, len(lists))
+	ids := 0
+	for i, l := range lists {
+		if posts[i], arena, err = c.AppendEncode(arena, l); err != nil {
+			b.Fatal(err)
+		}
+		ids += len(l)
+	}
+	dst := make([]uint32, 0, ids)
+	for b.Loop() {
+		dst = dst[:0]
+		for i := range posts {
+			if dst, err = c.AppendDecode(dst, &posts[i]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(ids)*float64(b.N)/b.Elapsed().Seconds(), "ids/s")
+}

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"encoding/binary"
 	"errors"
 	"slices"
 )
@@ -31,7 +32,18 @@ type PostingCoder struct {
 	huff    *Huffman
 	w       BitWriter // Encode scratch
 	scratch []uint32  // sort scratch for unsorted input
+
+	// table maps every tableBits-bit prefix to gap<<8 | code length for
+	// the codes of at most tableBits bits (GapAlphabet standing for the
+	// escape), 0 where only a longer code starts with that prefix.
+	table     []uint32
+	tableBits int
 }
+
+// decodeTableBits caps the decode table at 2⁹ four-byte entries (2 KiB):
+// a repository holds hundreds of coders, so a wider table would show in
+// its resident heap, while short gaps already get the short codes.
+const decodeTableBits = 9
 
 // PostingFreq accumulates the gap-symbol frequencies of posting lists —
 // the training pass of a PostingCoder, kept allocation-free: a dense
@@ -89,7 +101,19 @@ func NewPostingCoderFromFreq(f *PostingFreq) (*PostingCoder, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &PostingCoder{huff: h}, nil
+	c := &PostingCoder{huff: h, tableBits: min(decodeTableBits, h.maxLen)}
+	k := c.tableBits
+	c.table = make([]uint32, 1<<k)
+	for l := 1; l <= k; l++ {
+		for j := range uint64(h.dCount[l]) {
+			e := gapOf(h.symbols[h.dOffset[l]+int32(j)])<<8 | uint32(l)
+			lo := (h.dFirst[l] + j) << uint(k-l)
+			for x := range uint64(1) << uint(k-l) {
+				c.table[lo+x] = e
+			}
+		}
+	}
+	return c, nil
 }
 
 // gaps converts a sorted ID list to first-value-plus-gaps form. The first
@@ -186,35 +210,105 @@ func (c *PostingCoder) AppendEncode(arena []byte, ids []uint32) (PostingList, []
 
 // Decode reconstructs the sorted ID list.
 func (c *PostingCoder) Decode(p *PostingList) ([]uint32, error) {
-	if p.N == 0 {
-		return nil, nil
+	return c.AppendDecode(nil, p)
+}
+
+// AppendDecode decodes p and appends its IDs to dst, growing it at most
+// once. On error it returns dst at its original length; it never appends
+// more than p.N IDs. p.Data may run past the posting's own bytes (an
+// arena tail, say): only the first p.Bits bits are decoded, and the
+// trailing bytes only let the kernel read whole 64-bit windows.
+//
+// The kernel reads one 64-bit big-endian window per symbol. Codes of at
+// most decodeTableBits bits resolve with one table lookup; longer codes
+// are found by testing the window's prefix of each longer length against
+// that length's canonical code range; an escaped gap's 32 raw bits are
+// one shift of the same window.
+func (c *PostingCoder) AppendDecode(dst []uint32, p *PostingList) ([]uint32, error) {
+	if p.N <= 0 {
+		return dst, nil
 	}
-	r := NewBitReader(p.Data, p.Bits)
-	out := make([]uint32, 0, p.N)
+	data := p.Data
+	nbit := p.Bits
+	if nbit < 0 || nbit > len(data)*8 {
+		nbit = len(data) * 8
+	}
+	// Every code is at least one bit long, so a corrupt N cannot make
+	// the decoder reserve more than the stream can hold.
+	orig := len(dst)
+	dst = slices.Grow(dst, min(p.N, nbit))
+	tab, shift := c.table, uint(64-c.tableBits)
+	pos := 0
 	var prev uint32
 	for i := 0; i < p.N; i++ {
-		sym, err := c.huff.DecodeSymbol(r)
-		if err != nil {
-			return nil, err
-		}
-		g := sym
-		if sym == escapeSymbol {
-			raw, err := r.ReadBits(32)
-			if err != nil {
-				return nil, err
+		w := window(data, pos)
+		e := tab[w>>shift]
+		l := int(e & 0xff)
+		g := e >> 8
+		if l == 0 {
+			l, g = c.decodeLong(w)
+			if l == 0 {
+				return dst[:orig], ErrBadHuffmanCode
 			}
-			g = uint32(raw)
 		}
-		var id uint32
-		if i == 0 {
-			id = g
-		} else {
-			id = prev + g
+		if pos += l; pos > nbit {
+			return dst[:orig], ErrShortStream
 		}
-		out = append(out, id)
-		prev = id
+		if g == GapAlphabet {
+			if l <= 32 {
+				g = uint32(w << uint(l) >> 32)
+			} else {
+				g = uint32(window(data, pos) >> 32)
+			}
+			if pos += 32; pos > nbit {
+				return dst[:orig], ErrShortStream
+			}
+		}
+		if i > 0 {
+			g += prev
+		}
+		dst = append(dst, g)
+		prev = g
 	}
-	return out, nil
+	return dst, nil
+}
+
+// decodeLong resolves a code longer than the table's reach from the
+// window w: the first length whose canonical range holds w's prefix of
+// that length. It returns the code length (0 when no code matches) and
+// the gap, GapAlphabet standing for the escape.
+func (c *PostingCoder) decodeLong(w uint64) (int, uint32) {
+	h := c.huff
+	for l := c.tableBits + 1; l <= h.maxLen; l++ {
+		code := w >> uint(64-l)
+		if d := code - h.dFirst[l]; d < uint64(h.dCount[l]) {
+			return l, gapOf(h.symbols[h.dOffset[l]+int32(d)])
+		}
+	}
+	return 0, 0
+}
+
+// gapOf maps a Huffman symbol to the decoder's gap value: the symbol
+// itself, or GapAlphabet for the escape.
+func gapOf(sym uint32) uint32 {
+	if sym == escapeSymbol {
+		return GapAlphabet
+	}
+	return sym
+}
+
+// window returns the 64 bits of data starting at bit pos, most
+// significant first; bits past the end of data read as zero.
+func window(data []byte, pos int) uint64 {
+	i, s := pos>>3, uint(pos&7)
+	if i+8 < len(data) {
+		return binary.BigEndian.Uint64(data[i:])<<s | uint64(data[i+8])>>(8-s)
+	}
+	var buf [9]byte
+	if i < len(data) {
+		copy(buf[:], data[i:])
+	}
+	return binary.BigEndian.Uint64(buf[:])<<s | uint64(buf[8])>>(8-s)
 }
 
 // DeltaEncode returns the delta (gap) representation of a sorted uint32

@@ -26,8 +26,7 @@ import (
 // cells (entirely within the local-search margin) whose rows need no
 // per-trajectory reconstruction check. Batches and their slices are
 // owned by the producing iterator and valid only until its next Next
-// call; the inner ID slices may be shared with the decoded-cell cache
-// and must never be modified.
+// call; the inner ID slices must never be modified.
 type Batch struct {
 	Ticks []int
 	IDs   [][]traj.ID

@@ -195,6 +195,106 @@ func TestInstrument(t *testing.T) {
 	}
 }
 
+// TestScanPipeInstrumentAccounting checks that a traced pipe reports
+// exactly the rows that crossed each boundary — op_scan_rows equals the
+// pipe's own CountRows total and op_verify_rows equals a CountRows over
+// its output — whether the stream is drained, cancelled mid-way, or
+// abandoned and closed, and that the report reaches the trace once.
+func TestScanPipeInstrumentAccounting(t *testing.T) {
+	w := buildWorld(t, false)
+	cls := Classifier{Rect: geo.Rect{MinX: 1, MinY: 1, MaxX: 7, MaxY: 7}, Margin: 0.2}
+	for _, tc := range []struct {
+		name  string
+		pulls int // batches pulled before stopping; -1 drains
+		stop  func(cancel context.CancelFunc, it Iterator)
+	}{
+		{"drained", -1, nil},
+		{"cancelled", 3, func(cancel context.CancelFunc, it Iterator) {
+			cancel()
+			if _, ok := it.Next(); ok || it.Err() != context.Canceled {
+				t.Fatalf("pull after cancel: ok=%v err=%v", ok, it.Err())
+			}
+		}},
+		{"abandoned", 3, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			tr := obs.NewTrace()
+			var st index.ScanStats
+			var scanRows, outRows int64
+			pipe := OpenScanPipe(ctx, w.idx, w, cls, 0, 40, &st, &scanRows, tr)
+			it := CountRows(pipe.Iterator(), &outRows)
+			pulled := 0
+			for tc.pulls < 0 || pulled < tc.pulls {
+				if _, ok := it.Next(); !ok {
+					break
+				}
+				pulled++
+			}
+			if tc.pulls >= 0 && pulled < tc.pulls {
+				t.Fatalf("stream ended after %d batches; the %s check needs %d", pulled, tc.name, tc.pulls)
+			}
+			if tc.stop != nil {
+				tc.stop(cancel, it)
+			}
+			pipe.Close()
+			facts := tr.Report().Facts
+			if scanRows == 0 || outRows == 0 {
+				t.Fatalf("no rows flowed (scan %d, out %d); the check would be vacuous", scanRows, outRows)
+			}
+			if got := facts["op_scan_rows"]; got != scanRows {
+				t.Fatalf("op_scan_rows = %d, CountRows at the source = %d", got, scanRows)
+			}
+			if got := facts["op_verify_rows"]; got != outRows {
+				t.Fatalf("op_verify_rows = %d, CountRows at the output = %d", got, outRows)
+			}
+			stages := tr.Stages()
+			for _, name := range []string{"op_scan", "op_verify"} {
+				if _, ok := stages[name]; !ok {
+					t.Fatalf("stage %s missing: %v", name, stages)
+				}
+			}
+		})
+	}
+}
+
+// TestTracedScanPipeAllocatesNothingPerBatch drains the same pooled scan
+// with and without a trace: instrumenting it must add no allocation per
+// batch.
+func TestTracedScanPipeAllocatesNothingPerBatch(t *testing.T) {
+	w := buildWorld(t, false)
+	ctx := context.Background()
+	cls := Classifier{Rect: geo.Rect{MinX: 1, MinY: 1, MaxX: 7, MaxY: 7}, Margin: 0.2}
+	tr := obs.NewTrace()
+	batches := 0
+	drain := func(tr *obs.Trace) func() {
+		return func() {
+			var st index.ScanStats
+			var rows int64
+			pipe := OpenScanPipe(ctx, w.idx, w, cls, 0, 40, &st, &rows, tr)
+			it := pipe.Iterator()
+			batches = 0
+			for _, ok := it.Next(); ok; _, ok = it.Next() {
+				batches++
+			}
+			pipe.Close()
+		}
+	}
+	drain(tr)() // the trace's first report creates its map entries
+	untraced := testing.AllocsPerRun(50, drain(nil))
+	traced := testing.AllocsPerRun(50, drain(tr))
+	if batches < 5 {
+		t.Fatalf("only %d batches; the per-batch check would be vacuous", batches)
+	}
+	// The race detector's sync.Pool drops pooled pipes at random, and a
+	// refilled pipe regrows its scratch, so allow a few allocations per
+	// drain — far below one per batch.
+	if traced-untraced >= float64(batches)/10 {
+		t.Fatalf("traced drain of %d batches: %.0f allocs, untraced %.0f", batches, traced, untraced)
+	}
+}
+
 func TestSplitSpan(t *testing.T) {
 	ranges := []TickRange{{0, 9}, {10, 19}, {20, 29}, {40, 49}}
 	var got [][3]int

@@ -127,13 +127,19 @@ func (c *CountRowsOp) Err() error { return c.in.Err() }
 // InstrumentOp reports an operator's pull time and emitted rows into an
 // obs.Trace: stage <name> accumulates time spent inside this operator's
 // subtree, fact <name>_rows counts rows it emitted. Used at operator
-// boundaries so ?trace=1 reports per-operator time.
+// boundaries so ?trace=1 reports per-operator time. Time and rows add up
+// in the operator's own fields and reach the trace once per scan — at end
+// of stream, on error or cancellation, or from ScanPipe.Close for an
+// abandoned pipe — so a pull takes no trace lock and allocates nothing.
 type InstrumentOp struct {
-	ctx  context.Context
-	in   Iterator
-	tr   *obs.Trace
-	name string
-	err  error
+	ctx      context.Context
+	in       Iterator
+	tr       *obs.Trace // nil once reported
+	name     string
+	rowsName string
+	err      error
+	d        time.Duration
+	rows     int64
 }
 
 // Instrument wraps in with tracing. With tr == nil it returns in
@@ -142,23 +148,43 @@ func Instrument(ctx context.Context, in Iterator, tr *obs.Trace, name string) It
 	if tr == nil {
 		return in
 	}
-	return &InstrumentOp{ctx: ctx, in: in, tr: tr, name: name}
+	o := &InstrumentOp{}
+	o.reset(ctx, in, tr, name, name+"_rows")
+	return o
+}
+
+// reset re-aims the operator at a new stream — the pooled-pipeline path,
+// which passes a constant rowsName so re-arming allocates nothing.
+func (o *InstrumentOp) reset(ctx context.Context, in Iterator, tr *obs.Trace, name, rowsName string) {
+	*o = InstrumentOp{ctx: ctx, in: in, tr: tr, name: name, rowsName: rowsName}
 }
 
 // Next times one pull of the wrapped subtree.
 func (o *InstrumentOp) Next() (*Batch, bool) {
 	if o.err = o.ctx.Err(); o.err != nil {
+		o.report()
 		return nil, false
 	}
 	t0 := time.Now()
 	b, ok := o.in.Next()
-	o.tr.Observe(o.name, time.Since(t0))
+	o.d += time.Since(t0)
 	if !ok {
 		o.err = o.in.Err()
+		o.report()
 		return nil, false
 	}
-	o.tr.Add(o.name+"_rows", int64(b.Rows()))
+	o.rows += int64(b.Rows())
 	return b, true
 }
 
 func (o *InstrumentOp) Err() error { return o.err }
+
+// report hands the accumulated time and rows to the trace, once.
+func (o *InstrumentOp) report() {
+	if o.tr == nil {
+		return
+	}
+	o.tr.Observe(o.name, o.d)
+	o.tr.Add(o.rowsName, o.rows)
+	o.tr = nil
+}

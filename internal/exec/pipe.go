@@ -19,11 +19,13 @@ import (
 // The Instrument stages appear only when a trace is attached; untraced
 // plans pay nothing for them.
 type ScanPipe struct {
-	cur    index.RangeCursor
-	scan   SegmentScan
-	count  CountRowsOp
-	verify VerifyOp
-	out    Iterator
+	cur     index.RangeCursor
+	scan    SegmentScan
+	count   CountRowsOp
+	verify  VerifyOp
+	scanTr  InstrumentOp
+	verifTr InstrumentOp
+	out     Iterator
 }
 
 var scanPipePool = sync.Pool{New: func() any { return new(ScanPipe) }}
@@ -36,8 +38,15 @@ func OpenScanPipe(ctx context.Context, idx *index.TPI, rec Reconstructor, cls Cl
 	p := scanPipePool.Get().(*ScanPipe)
 	p.scan.init(ctx, &p.cur, idx, cls, from, to, st)
 	p.count = CountRowsOp{in: &p.scan, n: rows}
-	p.verify.reset(ctx, Instrument(ctx, &p.count, tr, "op_scan"), rec, cls)
-	p.out = Instrument(ctx, &p.verify, tr, "op_verify")
+	if tr == nil {
+		p.verify.reset(ctx, &p.count, rec, cls)
+		p.out = &p.verify
+		return p
+	}
+	p.scanTr.reset(ctx, &p.count, tr, "op_scan", "op_scan_rows")
+	p.verify.reset(ctx, &p.scanTr, rec, cls)
+	p.verifTr.reset(ctx, &p.verify, tr, "op_verify", "op_verify_rows")
+	p.out = &p.verifTr
 	return p
 }
 
@@ -47,9 +56,13 @@ func (p *ScanPipe) Iterator() Iterator { return p.out }
 // Err reports the pipeline's terminal error, if any.
 func (p *ScanPipe) Err() error { return p.out.Err() }
 
-// Close returns the pipe's scratch to the pool. The pipeline must be
-// drained or abandoned first: batches it returned are invalid after
-// Close, as the scratch backing them may be handed to another scan.
+// Close reports a traced pipe's operator time and rows if the stream did
+// not end on its own, then returns the pipe's scratch to the pool. The
+// pipeline must be drained or abandoned first: batches it returned are
+// invalid after Close, as the scratch backing them may be handed to
+// another scan.
 func (p *ScanPipe) Close() {
+	p.scanTr.report()
+	p.verifTr.report()
 	scanPipePool.Put(p)
 }

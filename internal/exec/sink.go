@@ -15,7 +15,7 @@ import (
 type CollectResult struct {
 	// Cols holds the non-empty per-tick answers, ascending by tick, IDs
 	// ascending and deduplicated. Every slice is freshly allocated — no
-	// aliasing of iterator scratch or cache entries.
+	// aliasing of iterator scratch or index lists.
 	Cols []Column
 	// Candidates counts the kept rows before exact verification — the
 	// per-tick STRQResult.Candidates summed over the span.

@@ -67,9 +67,11 @@ func (r *Region) forEachCellIn(area geo.Rect, f func(k cellKey, ci int32) bool) 
 
 // CellScan is one cursor batch: every emitted (tick, posting) of a
 // single populated cell within the cursor's span, ticks ascending. The
-// Ticks/IDs slices are cursor-owned scratch reused by the next Next
-// call; the inner ID slices may be shared with the decoded-cell cache.
-// Neither may be modified or retained across pulls.
+// outer Ticks/IDs slices are cursor-owned scratch that the next Next call
+// overwrites. The inner ID lists are immutable and may be kept: on a
+// sealed index each is freshly decoded for this batch, and on an unsealed
+// one they are the index's own lists, unchanged until it is next mutated.
+// Neither may be modified.
 type CellScan struct {
 	// Cell is the cell's rectangle, clipped to its region.
 	Cell  geo.Rect
@@ -86,9 +88,9 @@ type pendingCell struct {
 
 // RangeCursor pulls the range scan's work one cell at a time. Cell
 // enumeration is materialized a region at a time (directory walking
-// only — cheap); decode, cache traffic, and stats accounting happen
-// lazily per pull, so abandoning the cursor early skips the decode work
-// of every cell not pulled.
+// only — cheap); decode and stats accounting happen lazily per pull, so
+// abandoning the cursor early skips the decode work of every cell not
+// pulled.
 type RangeCursor struct {
 	t        *TPI
 	area     geo.Rect
@@ -105,10 +107,9 @@ type RangeCursor struct {
 	np   int // next pending cell
 	out  CellScan
 
-	// emitFn and pendFn are the per-pull and per-region callbacks, built
-	// once per cursor (they capture only c) so Next and fill allocate
-	// nothing: a pooled cursor keeps them across Resets.
-	emitFn func(tick int, ids []traj.ID)
+	// pendFn is the per-region callback, built once per cursor (it
+	// captures only c) so fill allocates nothing: a pooled cursor keeps
+	// it across Resets.
 	pendFn func(k cellKey, ci int32) bool
 	fillRI int32 // region index pendFn is enumerating
 }
@@ -129,18 +130,14 @@ func (t *TPI) RangeCursor(area geo.Rect, from, to int, st *ScanStats, visit func
 }
 
 // Reset re-aims the cursor at a new scan, keeping its scratch (pending
-// cells, output batch, callbacks) — the pooled-scratch path for
+// cells, output batch, callback) — the pooled-scratch path for
 // executors that open one cursor per planned segment scan.
 func (c *RangeCursor) Reset(t *TPI, area geo.Rect, from, to int, st *ScanStats, visit func(cell geo.Rect) bool) {
 	c.t, c.area, c.from, c.to, c.st, c.visit = t, area, from, to, st, visit
 	c.period, c.pi, c.lo, c.hi, c.ri = 0, nil, 0, 0, 0
 	c.pend, c.np = c.pend[:0], 0
 	c.out.Ticks, c.out.IDs = c.out.Ticks[:0], c.out.IDs[:0]
-	if c.emitFn == nil {
-		c.emitFn = func(tick int, ids []traj.ID) {
-			c.out.Ticks = append(c.out.Ticks, tick)
-			c.out.IDs = append(c.out.IDs, ids)
-		}
+	if c.pendFn == nil {
 		c.pendFn = func(k cellKey, ci int32) bool {
 			c.pend = append(c.pend, pendingCell{ri: c.fillRI, k: k, ci: ci})
 			return true
@@ -149,7 +146,8 @@ func (c *RangeCursor) Reset(t *TPI, area geo.Rect, from, to int, st *ScanStats, 
 }
 
 // Next returns the next non-empty cell batch, or ok=false when the scan
-// is exhausted. The returned CellScan is only valid until the next call.
+// is exhausted. The returned CellScan's outer slices are only valid until
+// the next call; its inner ID lists stay valid (see CellScan).
 func (c *RangeCursor) Next() (*CellScan, bool) {
 	for {
 		for c.np < len(c.pend) {
@@ -169,7 +167,7 @@ func (c *RangeCursor) Next() (*CellScan, bool) {
 			c.out.Cell = r.cellRectOf(pc.k)
 			c.out.Ticks = c.out.Ticks[:0]
 			c.out.IDs = c.out.IDs[:0]
-			c.pi.scanCell(pc.ri, pc.ci, cd, c.lo, c.hi, c.st, c.emitFn)
+			c.pi.scanCell(cd, c.lo, c.hi, c.st, &c.out)
 			if len(c.out.Ticks) > 0 {
 				return &c.out, true
 			}

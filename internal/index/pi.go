@@ -630,14 +630,18 @@ func (d *decodedChunk) at(tick int) []traj.ID {
 	return nil
 }
 
+// posting returns the coded form of one sealed posting entry. Its Data
+// runs to the end of the shared arena, so the decoder can read whole
+// 64-bit windows past the posting's last byte; Bits bounds what it
+// decodes.
+func (pi *PI) posting(tp tickPosting) codec.PostingList {
+	return codec.PostingList{N: int(tp.n), Bits: int(tp.bits), Data: pi.postArena[tp.off:]}
+}
+
 // decodePosting decodes one sealed posting entry (nil on a corrupt
 // posting).
 func (pi *PI) decodePosting(tp tickPosting) []traj.ID {
-	pl := codec.PostingList{
-		N:    int(tp.n),
-		Bits: int(tp.bits),
-		Data: pi.postArena[tp.off : int(tp.off)+(int(tp.bits)+7)/8],
-	}
+	pl := pi.posting(tp)
 	ids, err := pi.coder.Decode(&pl) // []uint32 is []traj.ID (alias)
 	if err != nil {
 		return nil

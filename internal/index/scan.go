@@ -4,7 +4,6 @@ import (
 	"sort"
 	"time"
 
-	"ppqtraj/internal/cache"
 	"ppqtraj/internal/geo"
 	"ppqtraj/internal/traj"
 )
@@ -15,7 +14,7 @@ import (
 // candidate cells, re-walks each cell's posting list, and re-decodes (or
 // re-fetches from the cache) T times; the cursor resolves the cells once,
 // walks each cell's tick-sorted postings once across the whole span, and
-// decodes each tick chunk at most once.
+// decodes each posting once.
 
 // ScanStats counts the range-scan planner's per-cell work; callers
 // accumulate it into their own zone-map skip telemetry.
@@ -26,12 +25,9 @@ type ScanStats struct {
 	// decode: either their per-cell tick range (the cell-level zone map)
 	// missed the span, or the caller's visit callback declined the cell.
 	CellsSkipped int
-	// CacheHits / CacheMisses count decoded-chunk cache lookups on the
-	// sealed cached path (both zero on raw or uncached scans).
-	CacheHits   int
-	CacheMisses int
-	// DecodedBytes is the cached cost of chunks decoded on misses;
-	// DecodeNanos is the time spent in those decodes.
+	// DecodedBytes is the size of the ID slabs sealed cells decoded into
+	// (4 bytes per ID); DecodeNanos is the time those decodes took. Both
+	// stay zero on an unsealed index, whose postings are not coded.
 	DecodedBytes int64
 	DecodeNanos  int64
 }
@@ -40,8 +36,6 @@ type ScanStats struct {
 func (s *ScanStats) Add(o ScanStats) {
 	s.CellsScanned += o.CellsScanned
 	s.CellsSkipped += o.CellsSkipped
-	s.CacheHits += o.CacheHits
-	s.CacheMisses += o.CacheMisses
 	s.DecodedBytes += o.DecodedBytes
 	s.DecodeNanos += o.DecodeNanos
 }
@@ -62,53 +56,47 @@ func (pi *PI) cellMayOverlap(c *cellData, from, to int) bool {
 	return false
 }
 
-// scanCell emits one cell's postings over [from, to], decoding each tick
-// chunk at most once. With a cache attached the chunk entries are shared
-// with (and populate) the decoded-cell cache, so a later per-tick probe
-// of the same cell hits.
-func (pi *PI) scanCell(ri, ci int32, c *cellData, from, to int, st *ScanStats, emit func(tick int, ids []traj.ID)) {
+// scanCell appends one cell's postings over [from, to] to out. A
+// sealed cell decodes every posting of the span into one slab sized by
+// the postings' ID counts, and each emitted list is a capped sub-slice of
+// it, so the lists stay valid after the next cell is scanned. Scans
+// bypass the decoded-cell cache: a window reads each chunk about once,
+// and passing it through the cache would only evict the probes' working
+// set.
+func (pi *PI) scanCell(c *cellData, from, to int, st *ScanStats, out *CellScan) {
 	if !pi.sealed {
 		i := sort.Search(len(c.raw), func(i int) bool { return c.raw[i].tick >= from })
 		for ; i < len(c.raw) && c.raw[i].tick <= to; i++ {
 			if len(c.raw[i].ids) > 0 {
-				emit(c.raw[i].tick, c.raw[i].ids)
+				out.Ticks = append(out.Ticks, c.raw[i].tick)
+				out.IDs = append(out.IDs, c.raw[i].ids)
 			}
 		}
 		return
 	}
-	i := sort.Search(len(c.sealed), func(i int) bool { return int(c.sealed[i].tick) >= from })
-	if pi.cellCache == nil {
-		for ; i < len(c.sealed) && int(c.sealed[i].tick) <= to; i++ {
-			if ids := pi.decodePosting(c.sealed[i]); len(ids) > 0 {
-				emit(int(c.sealed[i].tick), ids)
-			}
-		}
+	lo := sort.Search(len(c.sealed), func(i int) bool { return int(c.sealed[i].tick) >= from })
+	hi, n := lo, 0
+	for ; hi < len(c.sealed) && int(c.sealed[hi].tick) <= to; hi++ {
+		n += int(c.sealed[hi].n)
+	}
+	if n == 0 {
 		return
 	}
-	for i < len(c.sealed) && int(c.sealed[i].tick) <= to {
-		ch := cache.Chunk(int(c.sealed[i].tick))
-		key := cache.Key{Owner: pi.cacheOwner, PI: pi.cacheID, Reg: uint32(ri), Cell: ci, Chunk: ch}
-		var d *decodedChunk
-		if v, ok := pi.cellCache.Get(key); ok {
-			d = v.(*decodedChunk)
-			st.CacheHits++
-		} else {
-			t0 := time.Now()
-			d = pi.decodeChunk(c, ch)
-			st.DecodeNanos += time.Since(t0).Nanoseconds()
-			st.DecodedBytes += d.cost
-			st.CacheMisses++
-			pi.cellCache.Put(key, d, d.cost)
+	t0 := time.Now()
+	slab := make([]traj.ID, 0, n)
+	for _, tp := range c.sealed[lo:hi] {
+		st0 := len(slab)
+		pl := pi.posting(tp)
+		var err error
+		// A corrupt posting reads as empty, as it does to a probe.
+		if slab, err = pi.coder.AppendDecode(slab, &pl); err != nil || len(slab) == st0 {
+			continue
 		}
-		for j := range d.ticks {
-			if t := int(d.ticks[j]); t >= from && t <= to && len(d.ids[j]) > 0 {
-				emit(t, d.ids[j])
-			}
-		}
-		for i < len(c.sealed) && cache.Chunk(int(c.sealed[i].tick)) == ch {
-			i++
-		}
+		out.Ticks = append(out.Ticks, int(tp.tick))
+		out.IDs = append(out.IDs, slab[st0:len(slab):len(slab)])
 	}
+	st.DecodeNanos += time.Since(t0).Nanoseconds()
+	st.DecodedBytes += 4 * int64(len(slab))
 }
 
 // CoveredTicks counts the ticks of [from, to] that fall inside some

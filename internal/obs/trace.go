@@ -8,7 +8,7 @@ import (
 
 // Trace accumulates a per-request stage breakdown: named durations that
 // partition the request's wall time, plus integer "facts" (segments
-// scanned, cache hits, bytes decoded) recorded by the executors it
+// scanned, cells scanned, bytes decoded) recorded by the executors it
 // passes through. It rides context.Context via WithTrace/TraceFrom; all
 // methods are nil-safe so instrumented code needs no trace-enabled
 // branch — an un-traced request pays one nil check per call site.

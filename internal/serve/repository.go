@@ -66,10 +66,11 @@ type Options struct {
 	// the pool is capped at GOMAXPROCS. 1 runs each of them serially.
 	Workers int
 	// CacheBytes budgets the shared decoded-cell cache sitting in front
-	// of every sealed segment's compressed postings: repeated STRQ/window
-	// probes of hot cells reuse decoded ID lists instead of re-running the
-	// Huffman decode. 0 means the 64 MiB default; negative disables the
-	// cache entirely.
+	// of every sealed segment's compressed postings: repeated STRQ and
+	// point probes of hot cells reuse decoded ID lists instead of
+	// re-running the Huffman decode. Window scans decode in place and do
+	// not use it. 0 means the 64 MiB default; negative disables the cache
+	// entirely.
 	CacheBytes int64
 	// DefaultQueryTimeout bounds every HTTP query request. A client's
 	// ?timeout= parameter is clamped to it — a request can shorten the
@@ -1231,8 +1232,6 @@ func (r *Repository) windowRange(ctx context.Context, rect geo.Rect, from, to in
 	r.met.winCellsSkipped.Add(int64(scan.CellsSkipped))
 	tr.Add("cells_scanned", int64(scan.CellsScanned))
 	tr.Add("cells_skipped", int64(scan.CellsSkipped))
-	tr.Add("cache_hits", int64(scan.CacheHits))
-	tr.Add("cache_misses", int64(scan.CacheMisses))
 	tr.Add("bytes_decoded", scan.DecodedBytes)
 	tr.Add("decode_us", scan.DecodeNanos/1e3)
 	tr.Add("ticks_probed", int64(probed))

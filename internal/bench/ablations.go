@@ -4,8 +4,6 @@ import (
 	"io"
 
 	"ppqtraj/internal/core"
-	"ppqtraj/internal/geo"
-	"ppqtraj/internal/index"
 	"ppqtraj/internal/partition"
 	"ppqtraj/internal/traj"
 )
@@ -25,7 +23,6 @@ type AblationRow struct {
 //   - partitioning (PPQ-S vs E-PQ): summary MAE under a shared codebook
 //   - CQC (PPQ-S vs PPQ-S-basic): MAE and summary size
 //   - incremental temporal partitioning vs from-scratch: partitions created
-//   - delta+Huffman posting compression vs raw lists: index size
 func Ablations(s Scale, w io.Writer) []AblationRow {
 	d := s.Data(Porto)
 	var rows []AblationRow
@@ -61,18 +58,6 @@ func Ablations(s Scale, w io.Writer) []AblationRow {
 		return nil
 	})
 	emit("incremental partitioning", "partitions built", float64(inc.Stats().NewParts), float64(scratchNew))
-
-	// Posting compression: sealed vs raw PI size over the full stream.
-	tpi := index.NewTPI(index.Options{EpsS: 0.1, GC: geo.MetersToDegrees(100), EpsC: 0.5, EpsD: 0.5, Seed: 7})
-	_ = d.Stream(func(col *traj.Column) error {
-		tpi.Append(col.IDs, col.Points, col.Tick)
-		return nil
-	})
-	raw := tpi.SizeBytes()
-	if err := tpi.Seal(); err != nil {
-		panic(err)
-	}
-	emit("delta+Huffman postings", "index size (KB)", float64(tpi.SizeBytes())/1e3, float64(raw)/1e3)
 	fprintf(w, "\n")
 	return rows
 }

@@ -309,8 +309,4 @@ func TestAblationShapes(t *testing.T) {
 	if p := get("incremental partitioning", "partitions built"); p.With >= p.Without {
 		t.Errorf("incremental partitioning should reuse: %v vs %v", p.With, p.Without)
 	}
-	// Compressed postings shrink the index.
-	if p := get("delta+Huffman postings", "index size (KB)"); p.With >= p.Without {
-		t.Errorf("posting compression should shrink the index: %v vs %v", p.With, p.Without)
-	}
 }

@@ -14,53 +14,38 @@ import (
 // by forEachCellIn and decoded by scanCell (scan.go).
 
 // forEachCellIn calls f for every populated cell of r whose coordinates
-// fall inside area's cell range: via the (X, Y)-sorted directory with
-// band skipping for sealed regions, via coordinate lookups otherwise.
-// f returning false aborts the walk; forEachCellIn reports whether it
-// ran to completion.
+// fall inside area's cell range, walking the (X, Y)-sorted directory with
+// band skipping. Both window scans and LookupArea probes enumerate cells
+// this way. f returning false aborts the walk; forEachCellIn reports
+// whether it ran to completion.
 func (r *Region) forEachCellIn(area geo.Rect, f func(k cellKey, ci int32) bool) bool {
 	x0, y0, x1, y1 := r.cellRange(area)
-	if len(r.dir) > 0 {
-		i := sort.Search(len(r.dir), func(i int) bool {
-			k := r.dir[i].key
-			return k.X > x0 || (k.X == x0 && k.Y >= y0)
-		})
-		for i < len(r.dir) && r.dir[i].key.X <= x1 {
-			k := r.dir[i].key
-			switch {
-			case k.Y > y1:
-				// Past this column's band: jump to the next column.
-				i += sort.Search(len(r.dir)-i, func(j int) bool {
-					return r.dir[i+j].key.X > k.X
-				})
-				continue
-			case k.Y < y0:
-				// Below the band: jump to the band's start within the
-				// column (or past the column).
-				i += sort.Search(len(r.dir)-i, func(j int) bool {
-					kj := r.dir[i+j].key
-					return kj.X > k.X || kj.Y >= y0
-				})
-				continue
-			}
-			if !f(k, r.dir[i].ci) {
-				return false
-			}
-			i++
+	i := sort.Search(len(r.dir), func(i int) bool {
+		k := r.dir[i].key
+		return k.X > x0 || (k.X == x0 && k.Y >= y0)
+	})
+	for i < len(r.dir) && r.dir[i].key.X <= x1 {
+		k := r.dir[i].key
+		switch {
+		case k.Y > y1:
+			// Past this column's band: jump to the next column.
+			i += sort.Search(len(r.dir)-i, func(j int) bool {
+				return r.dir[i+j].key.X > k.X
+			})
+			continue
+		case k.Y < y0:
+			// Below the band: jump to the band's start within the
+			// column (or past the column).
+			i += sort.Search(len(r.dir)-i, func(j int) bool {
+				kj := r.dir[i+j].key
+				return kj.X > k.X || kj.Y >= y0
+			})
+			continue
 		}
-		return true
-	}
-	for x := x0; x <= x1; x++ {
-		for y := y0; y <= y1; y++ {
-			k := cellKey{x, y}
-			ci, ok := r.cells[k]
-			if !ok {
-				continue
-			}
-			if !f(k, ci) {
-				return false
-			}
+		if !f(k, r.dir[i].ci) {
+			return false
 		}
+		i++
 	}
 	return true
 }
@@ -68,10 +53,8 @@ func (r *Region) forEachCellIn(area geo.Rect, f func(k cellKey, ci int32) bool) 
 // CellScan is one cursor batch: every emitted (tick, posting) of a
 // single populated cell within the cursor's span, ticks ascending. The
 // outer Ticks/IDs slices are cursor-owned scratch that the next Next call
-// overwrites. The inner ID lists are immutable and may be kept: on a
-// sealed index each is freshly decoded for this batch, and on an unsealed
-// one they are the index's own lists, unchanged until it is next mutated.
-// Neither may be modified.
+// overwrites. The inner ID lists are freshly decoded for this batch: they
+// may be kept, but not modified.
 type CellScan struct {
 	// Cell is the cell's rectangle, clipped to its region.
 	Cell  geo.Rect
@@ -122,7 +105,7 @@ type RangeCursor struct {
 // rectangle before any decode; returning false skips the cell (the
 // caller's margin pruning hook). Skipped cells count in
 // st.CellsSkipped, walked ones in st.CellsScanned; both happen lazily as
-// cells are pulled.
+// cells are pulled. The TPI must be sealed.
 func (t *TPI) RangeCursor(area geo.Rect, from, to int, st *ScanStats, visit func(cell geo.Rect) bool) *RangeCursor {
 	c := &RangeCursor{}
 	c.Reset(t, area, from, to, st, visit)
@@ -131,8 +114,10 @@ func (t *TPI) RangeCursor(area geo.Rect, from, to int, st *ScanStats, visit func
 
 // Reset re-aims the cursor at a new scan, keeping its scratch (pending
 // cells, output batch, callback) — the pooled-scratch path for
-// executors that open one cursor per planned segment scan.
+// executors that open one cursor per planned segment scan. The TPI must
+// be sealed.
 func (c *RangeCursor) Reset(t *TPI, area geo.Rect, from, to int, st *ScanStats, visit func(cell geo.Rect) bool) {
+	t.mustBeSealed()
 	c.t, c.area, c.from, c.to, c.st, c.visit = t, area, from, to, st, visit
 	c.period, c.pi, c.lo, c.hi, c.ri = 0, nil, 0, 0, 0
 	c.pend, c.np = c.pend[:0], 0
@@ -155,7 +140,7 @@ func (c *RangeCursor) Next() (*CellScan, bool) {
 			c.np++
 			r := c.pi.Regions[pc.ri]
 			cd := r.cellPtr(pc.ci)
-			if !c.pi.cellMayOverlap(cd, c.lo, c.hi) {
+			if !cd.mayOverlap(c.lo, c.hi) {
 				c.st.CellsSkipped++
 				continue
 			}

@@ -63,23 +63,19 @@ func drainBatches(cur *RangeCursor) []cursorBatch {
 // TestRangeCursorMatchesScanRange proves a pooled cursor re-armed with
 // Reset (the executor's scan source reuses cursors this way) is
 // batch-for-batch and stat-for-stat equivalent to a fresh range scan on
-// raw, sealed, and cached indexes across random areas/spans: no state
-// from an earlier scan leaks into the next.
+// sealed and cached indexes across random areas/spans: no state from an
+// earlier scan leaks into the next.
 func TestRangeCursorMatchesScanRange(t *testing.T) {
 	for _, cfg := range []struct {
-		name            string
-		withCache, seal bool
-	}{{"raw", false, false}, {"sealed", false, true}, {"sealed+cache", true, true}} {
+		name      string
+		withCache bool
+	}{{"sealed", false}, {"sealed+cache", true}} {
 		t.Run(cfg.name, func(t *testing.T) {
-			tpi := scanTestTPI(t, cfg.withCache, cfg.seal)
+			tpi := scanTestTPI(t, cfg.withCache)
 			rng := rand.New(rand.NewSource(31))
 			var pooled RangeCursor
 			for trial := 0; trial < 30; trial++ {
-				cx, cy := rng.Float64()*12-1, rng.Float64()*12-1
-				w := 0.3 + rng.Float64()*3
-				area := geo.Rect{MinX: cx, MinY: cy, MaxX: cx + w, MaxY: cy + w}
-				from := rng.Intn(45) - 2
-				to := from + rng.Intn(45)
+				area, from, to := randomScan(rng)
 				var wantSt, gotSt ScanStats
 				want := drainBatches(tpi.RangeCursor(area, from, to, &wantSt, nil))
 				pooled.Reset(tpi, area, from, to, &gotSt, nil)
@@ -106,7 +102,7 @@ func TestRangeCursorMatchesScanRange(t *testing.T) {
 // TestRangeCursorVisitVeto checks a vetoing visit callback skips every
 // cell before any decode.
 func TestRangeCursorVisitVeto(t *testing.T) {
-	tpi := scanTestTPI(t, false, true)
+	tpi := scanTestTPI(t, false)
 	area := geo.Rect{MinX: -5, MinY: -5, MaxX: 15, MaxY: 15}
 	got, st, cells := collectCursor(tpi, area, 0, 50, func(geo.Rect) bool { return false })
 	if len(got) != 0 || cells != 0 || st.CellsScanned != 0 || st.CellsSkipped == 0 {
@@ -117,7 +113,7 @@ func TestRangeCursorVisitVeto(t *testing.T) {
 // TestRangeCursorAbandon checks laziness: stopping after the first pull
 // must leave the remaining cells undecoded (stats stop accumulating).
 func TestRangeCursorAbandon(t *testing.T) {
-	tpi := scanTestTPI(t, false, true)
+	tpi := scanTestTPI(t, false)
 	area := geo.Rect{MinX: -5, MinY: -5, MaxX: 15, MaxY: 15}
 	_, full, _ := collectCursor(tpi, area, 0, 50, nil)
 	if full.CellsScanned < 2 {
@@ -137,7 +133,7 @@ func TestRangeCursorAbandon(t *testing.T) {
 // one cell batch ascend and fall inside the requested span.
 func TestRangeCursorTicksAscend(t *testing.T) {
 	for _, withCache := range []bool{false, true} {
-		tpi := scanTestTPI(t, withCache, true)
+		tpi := scanTestTPI(t, withCache)
 		var st ScanStats
 		cur := tpi.RangeCursor(geo.Rect{MinX: -5, MinY: -5, MaxX: 15, MaxY: 15}, 5, 30, &st, nil)
 		for {
@@ -168,33 +164,27 @@ func TestRangeCursorTicksAscend(t *testing.T) {
 // and once the cursor is drained the kept lists still answer each tick
 // exactly as a per-tick LookupArea probe does.
 func TestRangeCursorInnerListsMayBeKept(t *testing.T) {
-	for _, seal := range []bool{false, true} {
-		tpi := scanTestTPI(t, false, seal)
-		rng := rand.New(rand.NewSource(77))
-		for trial := 0; trial < 30; trial++ {
-			cx, cy := rng.Float64()*12-1, rng.Float64()*12-1
-			w := 0.3 + rng.Float64()*3
-			area := geo.Rect{MinX: cx, MinY: cy, MaxX: cx + w, MaxY: cy + w}
-			from := rng.Intn(45) - 2
-			to := from + rng.Intn(45)
-			var st ScanStats
-			kept := make(map[int][][]traj.ID)
-			cur := tpi.RangeCursor(area, from, to, &st, nil)
-			for cs, ok := cur.Next(); ok; cs, ok = cur.Next() {
-				for i, tick := range cs.Ticks {
-					kept[tick] = append(kept[tick], cs.IDs[i])
-				}
+	tpi := scanTestTPI(t, false)
+	rng := rand.New(rand.NewSource(77))
+	for trial := 0; trial < 30; trial++ {
+		area, from, to := randomScan(rng)
+		var st ScanStats
+		kept := make(map[int][][]traj.ID)
+		cur := tpi.RangeCursor(area, from, to, &st, nil)
+		for cs, ok := cur.Next(); ok; cs, ok = cur.Next() {
+			for i, tick := range cs.Ticks {
+				kept[tick] = append(kept[tick], cs.IDs[i])
 			}
-			for tick := from; tick <= to; tick++ {
-				var got []traj.ID
-				for _, ids := range kept[tick] {
-					got = append(got, ids...)
-				}
-				sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-				got = traj.DedupSorted(got)
-				if want := tpi.LookupArea(area, tick, nil); !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
-					t.Fatalf("sealed=%v area %v tick %d: kept lists %v, LookupArea %v", seal, area, tick, got, want)
-				}
+		}
+		for tick := from; tick <= to; tick++ {
+			var got []traj.ID
+			for _, ids := range kept[tick] {
+				got = append(got, ids...)
+			}
+			sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
+			got = traj.DedupSorted(got)
+			if want := tpi.LookupArea(area, tick, nil); !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
+				t.Fatalf("area %v tick %d: kept lists %v, LookupArea %v", area, tick, got, want)
 			}
 		}
 	}

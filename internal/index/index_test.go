@@ -2,6 +2,7 @@ package index
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ppqtraj/internal/cache"
@@ -28,12 +29,18 @@ func clusterPoints(rng *rand.Rand, centers []geo.Point, per int, spread float64)
 	return out
 }
 
+// cellProbe shrinks a cell rectangle by a hair, so that a LookupArea over
+// it reads that one cell and not the neighbours its closed edges touch.
+func cellProbe(cell geo.Rect) geo.Rect {
+	return cell.Expand(-1e-6 * min(cell.Width(), cell.Height()))
+}
+
 func TestBuildPICoversAllPoints(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	pts := clusterPoints(rng, []geo.Point{geo.Pt(0, 0), geo.Pt(10, 10)}, 50, 0.5)
 	pi := BuildPI(idsSeq(len(pts)), pts, 0, 2, 0.25, 2)
 	for i, p := range pts {
-		if !pi.Covers(p) {
+		if pi.regionOf(p) == nil {
 			t.Fatalf("point %d %v not covered", i, p)
 		}
 	}
@@ -57,62 +64,34 @@ func TestPIRegionsDisjoint(t *testing.T) {
 func TestPILookupFindsInsertedIDs(t *testing.T) {
 	pts := []geo.Point{geo.Pt(0, 0), geo.Pt(0.01, 0.01), geo.Pt(5, 5)}
 	pi := BuildPI(idsSeq(3), pts, 7, 10, 0.1, 4)
-	ids, cell, ok := pi.Lookup(geo.Pt(0.005, 0.005), 7)
-	if !ok {
-		t.Fatal("query point should be covered")
-	}
-	if !cell.Contains(geo.Pt(0.005, 0.005)) {
-		t.Fatal("returned cell does not contain the query point")
-	}
-	// Both nearby points share the 0.1-sized cell at the region corner.
-	if len(ids) != 2 {
-		t.Fatalf("ids = %v, want the two nearby points", ids)
-	}
-	// Wrong tick: nothing indexed.
-	ids, _, _ = pi.Lookup(geo.Pt(0.005, 0.005), 8)
-	if len(ids) != 0 {
-		t.Fatalf("tick 8 should be empty, got %v", ids)
-	}
-}
-
-func TestPISealRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	pts := clusterPoints(rng, []geo.Point{geo.Pt(0, 0)}, 200, 0.3)
-	pi := BuildPI(idsSeq(len(pts)), pts, 0, 5, 0.05, 6)
-	// Record pre-seal lookups, seal, compare.
-	type probe struct {
-		p   geo.Point
-		ids []traj.ID
-	}
-	var probes []probe
-	for i := 0; i < 20; i++ {
-		p := pts[rng.Intn(len(pts))]
-		ids, _, _ := pi.Lookup(p, 0)
-		probes = append(probes, probe{p, ids})
-	}
 	if err := pi.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	for _, pr := range probes {
-		got, _, _ := pi.Lookup(pr.p, 0)
-		if len(got) != len(pr.ids) {
-			t.Fatalf("seal changed lookup result: %v vs %v", got, pr.ids)
-		}
-		seen := map[traj.ID]bool{}
-		for _, id := range got {
-			seen[id] = true
-		}
-		for _, id := range pr.ids {
-			if !seen[id] {
-				t.Fatalf("id %d lost after seal", id)
-			}
-		}
+	q := geo.Pt(0.005, 0.005)
+	r := pi.regionOf(q)
+	if r == nil {
+		t.Fatal("query point should be covered")
+	}
+	cell := r.CellRect(q)
+	if !cell.Contains(q) {
+		t.Fatal("cell does not contain the query point")
+	}
+	// Both nearby points share the 0.1-sized cell at the region corner.
+	if ids := pi.LookupArea(cellProbe(cell), 7, nil); !slices.Equal(ids, []traj.ID{0, 1}) {
+		t.Fatalf("ids = %v, want the two nearby points", ids)
+	}
+	// Wrong tick: nothing indexed.
+	if ids := pi.LookupArea(cellProbe(cell), 8, nil); len(ids) != 0 {
+		t.Fatalf("tick 8 should be empty, got %v", ids)
 	}
 }
 
 func TestPILookupAreaDedups(t *testing.T) {
 	pts := []geo.Point{geo.Pt(0, 0), geo.Pt(0.3, 0), geo.Pt(0.6, 0)}
 	pi := BuildPI(idsSeq(3), pts, 0, 10, 0.25, 7)
+	if err := pi.Seal(); err != nil {
+		t.Fatal(err)
+	}
 	got := pi.LookupArea(geo.NewRect(-1, -1, 1, 1), 0, nil)
 	if len(got) != 3 {
 		t.Fatalf("LookupArea = %v", got)
@@ -132,13 +111,13 @@ func TestPISizeShrinksAfterSeal(t *testing.T) {
 		pts[i] = geo.Pt(rng.Float64()*0.09, rng.Float64()*0.09)
 	}
 	pi := BuildPI(idsSeq(len(pts)), pts, 0, 1, 0.1, 9)
-	raw := pi.SizeBytes()
 	if err := pi.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	sealed := pi.SizeBytes()
-	if sealed >= raw {
-		t.Fatalf("sealed size %d should be below raw %d", sealed, raw)
+	// Uncompressed, the postings alone take 4 B per indexed ID.
+	raw := 4 * len(pts)
+	if sealed := pi.SizeBytes(); sealed >= raw {
+		t.Fatalf("sealed size %d should be below the %d B of raw IDs", sealed, raw)
 	}
 }
 
@@ -208,9 +187,15 @@ func TestTPIInsertionForUncovered(t *testing.T) {
 	if tpi.Stats().Insertions != 1 {
 		t.Fatalf("Insertions = %d, want 1", tpi.Stats().Insertions)
 	}
-	ids, _, ok := tpi.Lookup(geo.Pt(50, 50), 1)
-	if !ok || len(ids) != 1 || ids[0] != 2 {
-		t.Fatalf("inserted region lookup = %v ok=%v", ids, ok)
+	if err := tpi.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	cell, ok := tpi.CellRect(geo.Pt(50, 50), 1)
+	if !ok {
+		t.Fatal("inserted region does not cover its point")
+	}
+	if ids := tpi.LookupArea(cellProbe(cell), 1, nil); !slices.Equal(ids, []traj.ID{2}) {
+		t.Fatalf("inserted region lookup = %v", ids)
 	}
 }
 
@@ -256,8 +241,8 @@ func TestTPIHigherEpsDFewerPeriods(t *testing.T) {
 func TestTPILookupOutsidePeriods(t *testing.T) {
 	tpi := NewTPI(Options{EpsS: 1, GC: 0.25, EpsC: 0.5, EpsD: 0.5, Seed: 17})
 	tpi.Append(idsSeq(1), []geo.Point{geo.Pt(0, 0)}, 5)
-	if _, _, ok := tpi.Lookup(geo.Pt(0, 0), 99); ok {
-		t.Fatal("lookup outside any period should fail")
+	if err := tpi.Seal(); err != nil {
+		t.Fatal(err)
 	}
 	if _, ok := tpi.CellRect(geo.Pt(0, 0), 99); ok {
 		t.Fatal("CellRect outside any period should fail")
@@ -276,6 +261,105 @@ func TestTPIAppendPanicsOnTickRegression(t *testing.T) {
 		}
 	}()
 	tpi.Append(idsSeq(1), []geo.Point{geo.Pt(0, 0)}, 3)
+}
+
+// TestAppendAfterSealPanics appends a fleet shifted by half a cell after
+// Seal. The new tick's cells are missing from the sealed directory, so
+// had the Append gone through, range scans would silently drop the IDs
+// that point probes still found.
+func TestAppendAfterSealPanics(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	tpi := NewTPI(Options{EpsS: 2, GC: 0.25, EpsC: 0.5, EpsD: 0.5, Seed: 23})
+	pts := clusterPoints(rng, []geo.Point{geo.Pt(0, 0)}, 40, 0.3)
+	tpi.Append(idsSeq(len(pts)), pts, 0)
+	if err := tpi.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	shifted := make([]geo.Point, len(pts))
+	for i, p := range pts {
+		shifted[i] = geo.Pt(p.X+0.125, p.Y+0.125)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Append after Seal did not panic")
+		}
+	}()
+	tpi.Append(idsSeq(len(shifted)), shifted, 1)
+}
+
+// TestReadsOfUnsealedIndexPanic checks that every read entry point
+// refuses an index still being built.
+func TestReadsOfUnsealedIndexPanic(t *testing.T) {
+	tpi := NewTPI(Options{EpsS: 1, GC: 0.25, Seed: 24})
+	tpi.Append(idsSeq(2), []geo.Point{geo.Pt(0, 0), geo.Pt(0.5, 0.5)}, 0)
+	area := geo.NewRect(-1, -1, 1, 1)
+	var st ScanStats
+	for name, read := range map[string]func(){
+		"TPI.LookupArea":     func() { tpi.LookupArea(area, 0, nil) },
+		"TPI.RangeCursor":    func() { tpi.RangeCursor(area, 0, 0, &st, nil) },
+		"TPI.PopulatedCells": func() { tpi.PopulatedCells(func(geo.Rect, int, int) {}) },
+		"PI.LookupArea":      func() { tpi.Periods[0].PI.LookupArea(area, 0, nil) },
+		"PI.SizeBytes":       func() { tpi.Periods[0].PI.SizeBytes() },
+		"PI.AssignPages":     func() { tpi.Periods[0].PI.AssignPages(store.New(4096)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on an unsealed index did not panic", name)
+				}
+			}()
+			read()
+		}()
+	}
+}
+
+// TestSealReleasesBuildState checks that a sealed TPI keeps only what
+// reads use: no cell map, no raw ID lists or their arena, no insert
+// scratch — and that a second Seal changes nothing.
+func TestSealReleasesBuildState(t *testing.T) {
+	tpi := NewTPI(Options{EpsS: 2, GC: 0.25, EpsC: 0.5, EpsD: 0.5, Seed: 9})
+	for _, col := range scanTestInput() {
+		tpi.Append(idsSeq(len(col.pts)), col.pts, col.tick)
+	}
+	if tpi.hint == nil || tpi.Periods[0].PI.idArena == nil {
+		t.Fatal("the build left no state to release; the test proves nothing")
+	}
+	if err := tpi.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if tpi.cover != nil || tpi.regIdx != nil || tpi.uncov != nil || tpi.hint != nil {
+		t.Error("TPI append scratch survives Seal")
+	}
+	cells := 0
+	for i, p := range tpi.Periods {
+		pi := p.PI
+		if pi.idArena != nil || pi.pairs != nil || pi.regCnt != nil || pi.regOff != nil || pi.regScratch != nil {
+			t.Errorf("period %d: PI build scratch survives Seal", i)
+		}
+		for ri, r := range pi.Regions {
+			if r.cells != nil {
+				t.Errorf("period %d region %d: cell map survives Seal", i, ri)
+			}
+			for _, chunk := range r.cd {
+				for ci := range chunk {
+					if chunk[ci].raw != nil {
+						t.Fatalf("period %d region %d cell %d: raw lists survive Seal", i, ri, ci)
+					}
+				}
+			}
+			cells += len(r.dir)
+		}
+	}
+	if cells == 0 {
+		t.Fatal("sealed index has an empty directory")
+	}
+	before := tpi.LookupArea(geo.NewRect(-5, -5, 15, 15), 10, nil)
+	if err := tpi.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if after := tpi.LookupArea(geo.NewRect(-5, -5, 15, 15), 10, nil); len(before) == 0 || !slices.Equal(after, before) {
+		t.Fatalf("second Seal changed a lookup: %v vs %v", after, before)
+	}
 }
 
 func TestAssignPagesAndIOAccounting(t *testing.T) {
@@ -306,8 +390,8 @@ func TestAssignPagesAndIOAccounting(t *testing.T) {
 	}
 }
 
-// TestLookupOracle cross-checks PI lookups against brute force over many
-// random configurations.
+// TestLookupOracle cross-checks sealed PI cell probes against brute force
+// over many random configurations.
 func TestLookupOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 10; trial++ {
@@ -322,10 +406,12 @@ func TestLookupOracle(t *testing.T) {
 		}
 		for probe := 0; probe < 30; probe++ {
 			q := pts[rng.Intn(n)]
-			ids, cell, ok := pi.Lookup(q, 0)
-			if !ok {
+			r := pi.regionOf(q)
+			if r == nil {
 				t.Fatalf("indexed point %v not covered", q)
 			}
+			cell := r.CellRect(q)
+			ids := pi.LookupArea(cellProbe(cell), 0, nil)
 			want := map[traj.ID]bool{}
 			for i, p := range pts {
 				if cell.Contains(p) {
@@ -345,8 +431,9 @@ func TestLookupOracle(t *testing.T) {
 }
 
 // TestCachedLookupsMatchCold builds a sealed TPI, attaches a decoded-cell
-// cache, and checks every LookupArea/Lookup answer is identical to the
-// cold decode — and that repeated probes actually hit.
+// cache, and checks every LookupArea answer — area and single-cell
+// probes — is identical to the cold decode, and that repeated probes
+// actually hit.
 func TestCachedLookupsMatchCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	tpi := NewTPI(Options{EpsS: 3, GC: 0.25, EpsC: 0.5, EpsD: 0.5, Seed: 21})
@@ -402,18 +489,18 @@ func TestCachedLookupsMatchCold(t *testing.T) {
 		t.Fatalf("cache never filled: %+v", st)
 	}
 
-	// Point lookups agree too, and chunk-level caching means a probe at an
-	// adjacent tick of an already-decoded chunk is a hit.
-	ids1, cell, ok := tpi.Lookup(pts[0], 24)
+	// Single-cell probes agree too.
+	cell, ok := tpi.CellRect(pts[0], 24)
 	if !ok {
 		t.Fatal("point should be covered")
 	}
 	if !cell.Contains(pts[0]) {
 		t.Fatal("cell does not contain the point")
 	}
+	ids1 := tpi.LookupArea(cellProbe(cell), 24, nil)
 	tpi.SetCache(nil, 0)
-	ids2, _, _ := tpi.Lookup(pts[0], 24)
-	if len(ids1) != len(ids2) {
-		t.Fatalf("cached point lookup %v vs cold %v", ids1, ids2)
+	ids2 := tpi.LookupArea(cellProbe(cell), 24, nil)
+	if len(ids1) == 0 || !slices.Equal(ids1, ids2) {
+		t.Fatalf("cached cell probe %v vs cold %v", ids1, ids2)
 	}
 }

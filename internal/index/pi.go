@@ -27,8 +27,8 @@ type cellKey struct{ X, Y int32 }
 
 // tickIDs is one tick's raw ID list within a cell. Ticks arrive in
 // ascending order (the TPI contract), so per-cell lists are kept as
-// tick-sorted slices: appending is a last-element check instead of a map
-// hash per point, lookups binary-search, and Seal iterates contiguously.
+// tick-sorted slices: appending needs no map hash per point, and Seal
+// iterates contiguously.
 type tickIDs struct {
 	tick int
 	ids  []traj.ID
@@ -46,41 +46,11 @@ type tickPosting struct {
 }
 
 // cellData is one cell's contents: per-tick trajectory IDs. IDs accumulate
-// uncompressed during the build and are sealed into compressed posting
-// lists by Seal.
+// uncompressed in raw during the build; Seal encodes them into sealed and
+// drops raw.
 type cellData struct {
-	raw    []tickIDs     // building; ascending tick
+	raw    []tickIDs     // build state; ascending tick
 	sealed []tickPosting // compressed postings; ascending tick
-}
-
-// appendID records id at the given tick. The last-slot fast path covers
-// the in-order stream; out-of-order ticks (standalone PI use) fall back
-// to a sorted insert.
-func (c *cellData) appendID(id traj.ID, tick int) {
-	if n := len(c.raw); n == 0 || c.raw[n-1].tick < tick {
-		c.raw = append(c.raw, tickIDs{tick: tick, ids: []traj.ID{id}})
-		return
-	} else if c.raw[n-1].tick == tick {
-		c.raw[n-1].ids = append(c.raw[n-1].ids, id)
-		return
-	}
-	i := sort.Search(len(c.raw), func(i int) bool { return c.raw[i].tick >= tick })
-	if i < len(c.raw) && c.raw[i].tick == tick {
-		c.raw[i].ids = append(c.raw[i].ids, id)
-		return
-	}
-	c.raw = append(c.raw, tickIDs{})
-	copy(c.raw[i+1:], c.raw[i:])
-	c.raw[i] = tickIDs{tick: tick, ids: []traj.ID{id}}
-}
-
-// rawAt returns the raw ID list for tick (nil when absent).
-func (c *cellData) rawAt(tick int) []traj.ID {
-	i := sort.Search(len(c.raw), func(i int) bool { return c.raw[i].tick >= tick })
-	if i < len(c.raw) && c.raw[i].tick == tick {
-		return c.raw[i].ids
-	}
-	return nil
 }
 
 // sealedAt returns the sealed posting entry for tick; ok is false when
@@ -93,34 +63,29 @@ func (c *cellData) sealedAt(tick int) (tickPosting, bool) {
 	return tickPosting{}, false
 }
 
-// tickCount is one tick's point count within a region (N_{R,t}).
-type tickCount struct {
-	tick int
-	n    int
-}
-
 // cellEntry is one (key, dense index) pair of a region's sorted cell
-// directory (built by Seal, consumed by range scans).
+// directory (built by Seal, walked by every read).
 type cellEntry struct {
 	key cellKey
 	ci  int32
 }
 
 // Region is one indexed subregion R_{i,gc}: a rectangle gridded at g_c.
-// Cell payloads live in the dense cd slice; the map holds indices into
-// it, so creating a cell costs amortized slice growth instead of one
-// heap object per cell (indexes run to hundreds of thousands of cells).
+// Cell payloads live in the dense cd slice. While the index is built the
+// cells map holds indices into it, so creating a cell costs amortized
+// slice growth instead of one heap object per cell (indexes run to
+// hundreds of thousands of cells); Seal replaces the map with the sorted
+// dir that every read walks.
 type Region struct {
 	Rect      geo.Rect
 	gc        float64
-	cells     map[cellKey]int32
-	dir       []cellEntry       // (X, Y)-sorted directory; rebuilt by Seal
+	cells     map[cellKey]int32 // build state; nil once sealed
+	dir       []cellEntry       // (X, Y)-sorted directory; built by Seal
 	cd        [][]cellData      // fixed-size chunks; index ci>>chunkShift
 	nCells    int32             // total cells across chunks
 	pages     []store.PageRange // per-cell disk placement (nil until AssignPages)
 	baseTick  int               // tick the region was created at
 	baseCount int               // N_{R,ts}: points indexed at creation (TRD baseline)
-	perTick   []tickCount       // N_{R,t}; ascending tick
 }
 
 // Cells live in fixed-size chunks: growing a region never copies cell
@@ -162,36 +127,6 @@ func (r *Region) cell(k cellKey) *cellData {
 	return r.cellPtr(ci)
 }
 
-// cellAt returns the cell for key, or nil when absent.
-func (r *Region) cellAt(k cellKey) *cellData {
-	ci, ok := r.cells[k]
-	if !ok {
-		return nil
-	}
-	return r.cellPtr(ci)
-}
-
-// bump adds n points at tick to the region's TRD accounting.
-func (r *Region) bump(tick, n int) {
-	if m := len(r.perTick); m > 0 && r.perTick[m-1].tick == tick {
-		r.perTick[m-1].n += n
-	} else if m == 0 || r.perTick[m-1].tick < tick {
-		r.perTick = append(r.perTick, tickCount{tick: tick, n: n})
-	} else {
-		i := sort.Search(m, func(i int) bool { return r.perTick[i].tick >= tick })
-		if i < m && r.perTick[i].tick == tick {
-			r.perTick[i].n += n
-		} else {
-			r.perTick = append(r.perTick, tickCount{})
-			copy(r.perTick[i+1:], r.perTick[i:])
-			r.perTick[i] = tickCount{tick: tick, n: n}
-		}
-	}
-	if tick == r.baseTick {
-		r.baseCount += n
-	}
-}
-
 // cellOf maps a point inside the region to its cell key (cells are
 // anchored at the region's min corner).
 func (r *Region) cellOf(p geo.Point) cellKey {
@@ -206,20 +141,6 @@ func (r *Region) cellOf(p geo.Point) cellKey {
 // region's boundary).
 func (r *Region) CellRect(p geo.Point) geo.Rect {
 	return r.cellRectOf(r.cellOf(p))
-}
-
-func (r *Region) insert(id traj.ID, p geo.Point, tick int) {
-	r.cell(r.cellOf(p)).appendID(id, tick)
-	r.bump(tick, 1)
-}
-
-// count returns N_{R,t}.
-func (r *Region) count(tick int) int {
-	i := sort.Search(len(r.perTick), func(i int) bool { return r.perTick[i].tick >= tick })
-	if i < len(r.perTick) && r.perTick[i].tick == tick {
-		return r.perTick[i].n
-	}
-	return 0
 }
 
 // kiPair is one (cell, id) insert within a region during a batch insert.
@@ -237,15 +158,17 @@ type PI struct {
 	coder   *codec.PostingCoder // shared posting coder (built by Seal)
 	sealed  bool
 
-	// Decoded-cell cache (optional, set via SetCache on an immutable
-	// sealed index): decoded posting lists are looked up / stored per
-	// (owner, cacheID, region, cell, tick-chunk).
+	// Decoded-cell cache (optional, set via SetCache): decoded posting
+	// lists are looked up / stored per (owner, cacheID, region, cell,
+	// tick-chunk).
 	cellCache  *cache.Cache
 	cacheOwner uint64
 	cacheID    uint32
 
+	postArena []byte // shared backing of all sealed postings
+
+	// Build state, released by Seal.
 	idArena    []traj.ID // shared backing of all raw posting lists
-	postArena  []byte    // shared backing of all sealed postings
 	pairs      []kiPair  // batch-insert scratch
 	regCnt     []int32   // batch-insert scratch: per-region point counts
 	regOff     []int32   // batch-insert scratch: per-region segment offsets
@@ -332,7 +255,6 @@ func (pi *PI) extend(ids []traj.ID, points []geo.Point, tick int) {
 		}
 	}
 	pi.Regions = kept
-	pi.sealed = false
 }
 
 func partitionFeatures(points []geo.Point) [][]float64 {
@@ -364,27 +286,10 @@ func (pi *PI) regionIndexOf(p geo.Point) int {
 	return -1
 }
 
-// Covers reports whether p lies in some region.
-func (pi *PI) Covers(p geo.Point) bool { return pi.regionOf(p) != nil }
-
-// Insert adds covered points at the given tick into existing regions.
-// It returns the indices of the points that were NOT covered (the T_uc
-// of Algorithm 4).
-func (pi *PI) Insert(ids []traj.ID, points []geo.Point, tick int) (uncovered []int) {
-	for i, p := range points {
-		if r := pi.regionOf(p); r != nil {
-			r.insert(ids[i], p, tick)
-		} else {
-			uncovered = append(uncovered, i)
-		}
-	}
-	if len(points) > 0 {
-		pi.sealed = false
-	}
-	return uncovered
-}
-
-// insertColumn bulk-inserts one region's points of a single tick. The
+// insertColumn bulk-inserts one region's points of a single tick, newer
+// than any the region holds: BuildPI and TPI.Append feed ticks in
+// increasing order, and a tick's points reach each region in one call
+// (TPI.Append's uncovered points all land in regions extend creates). The
 // pairs are sorted by cell (stably, preserving the caller's ascending-ID
 // order within a cell) and each cell's run lands in the PI's shared ID
 // arena as one contiguous list — no per-(cell, tick) allocation.
@@ -410,39 +315,23 @@ func (pi *PI) insertColumn(r *Region, pairs []kiPair, tick int) {
 			j++
 		}
 		c := r.cell(pairs[i].key)
-		switch n := len(c.raw); {
-		case n > 0 && c.raw[n-1].tick == tick:
-			// A second wave at the same tick (extend after insert):
-			// rewrite the merged list into the arena tail.
-			old := c.raw[n-1].ids
-			st := len(pi.idArena)
-			pi.idArena = append(pi.idArena, old...)
-			for _, pr := range pairs[i:j] {
-				pi.idArena = append(pi.idArena, pr.id)
-			}
-			c.raw[n-1].ids = pi.idArena[st:len(pi.idArena):len(pi.idArena)]
-		case n > 0 && c.raw[n-1].tick > tick:
-			// Out-of-order tick (standalone PI use): sorted-insert path.
-			for _, pr := range pairs[i:j] {
-				c.appendID(pr.id, tick)
-			}
-		default:
-			st := len(pi.idArena)
-			for _, pr := range pairs[i:j] {
-				pi.idArena = append(pi.idArena, pr.id)
-			}
-			c.raw = append(c.raw, tickIDs{tick: tick, ids: pi.idArena[st:len(pi.idArena):len(pi.idArena)]})
+		st := len(pi.idArena)
+		for _, pr := range pairs[i:j] {
+			pi.idArena = append(pi.idArena, pr.id)
 		}
+		c.raw = append(c.raw, tickIDs{tick: tick, ids: pi.idArena[st:len(pi.idArena):len(pi.idArena)]})
 		i = j
 	}
-	r.bump(tick, len(pairs))
+	if tick == r.baseTick {
+		r.baseCount += len(pairs)
+	}
 }
 
-// insertByRegion is Insert with the per-point covering-region indices
-// already known (regIdx[i] < 0 = uncovered), so the caller's coverage
-// probe is not repeated. Covered points are grouped per region and
-// bulk-inserted; uncovered indices are appended to uncovered and
-// returned.
+// insertByRegion inserts one tick's points into the existing regions
+// given each point's covering-region index (regIdx[i] < 0 = uncovered),
+// so the caller's coverage probe is not repeated. Covered points are
+// grouped per region and bulk-inserted; uncovered indices (the T_uc of
+// Algorithm 4) are appended to uncovered and returned.
 func (pi *PI) insertByRegion(ids []traj.ID, points []geo.Point, tick int, regIdx, uncovered []int) []int {
 	nR := len(pi.Regions)
 	if cap(pi.regCnt) < nR {
@@ -461,9 +350,6 @@ func (pi *PI) insertByRegion(ids []traj.ID, points []geo.Point, tick int, regIdx
 		} else {
 			uncovered = append(uncovered, i)
 		}
-	}
-	if len(points) > 0 {
-		pi.sealed = false
 	}
 	if covered == 0 {
 		return uncovered
@@ -494,16 +380,12 @@ func (pi *PI) insertByRegion(ids []traj.ID, points []geo.Point, tick int, regIdx
 	return uncovered
 }
 
-// Extend builds new regions for uncovered points ("Insertion" in
-// Algorithm 4) and inserts them.
-func (pi *PI) Extend(ids []traj.ID, points []geo.Point, tick int) {
-	pi.extend(ids, points, tick)
-}
-
 // Seal compresses every cell's per-tick ID lists with the shared
-// delta+Huffman coder. Sealing is idempotent and re-runs after new
-// insertions. The two passes (frequency training, then encoding) walk
-// the tick-sorted lists in place — traj.ID aliases uint32, so no list is
+// delta+Huffman coder, builds each region's sorted cell directory and
+// releases the build state: the raw lists and their arena, the cell maps
+// and the insert scratch. A sealed PI is read-only and a second Seal is a
+// no-op. The two passes (frequency training, then encoding) walk the
+// tick-sorted lists in place — traj.ID aliases uint32, so no list is
 // copied or converted.
 func (pi *PI) Seal() error {
 	if pi.sealed {
@@ -558,14 +440,11 @@ func (pi *PI) Seal() error {
 		}
 	}
 	pi.postArena = arena
-	// Rebuild each region's sorted cell directory: range scans walk the
-	// populated cells of a rectangle in key order via binary search, which
-	// beats hashing every candidate coordinate of a wide scan area.
+	// Build each region's sorted cell directory: reads walk the populated
+	// cells of a rectangle in key order via binary search, which beats
+	// hashing every candidate coordinate of a wide scan area.
 	for _, r := range pi.Regions {
-		r.dir = r.dir[:0]
-		if cap(r.dir) < len(r.cells) {
-			r.dir = make([]cellEntry, 0, len(r.cells))
-		}
+		r.dir = make([]cellEntry, 0, len(r.cells))
 		for k, ci := range r.cells {
 			r.dir = append(r.dir, cellEntry{key: k, ci: ci})
 		}
@@ -575,35 +454,31 @@ func (pi *PI) Seal() error {
 			}
 			return cmp.Compare(a.key.Y, b.key.Y)
 		})
+		r.cells = nil
+		for _, chunk := range r.cd {
+			for ci := range chunk {
+				chunk[ci].raw = nil
+			}
+		}
 	}
+	pi.idArena, pi.pairs, pi.regCnt, pi.regOff, pi.regScratch = nil, nil, nil, nil, nil
 	pi.sealed = true
 	return nil
 }
 
-// Lookup returns the trajectory IDs indexed in the cell containing p at
-// the given tick, plus the cell rectangle. ok is false when p is not
-// covered by any region. The returned slice may be shared with the
-// decoded-cell cache; callers must not modify it.
-func (pi *PI) Lookup(p geo.Point, tick int) (ids []traj.ID, cell geo.Rect, ok bool) {
-	ri := pi.regionIndexOf(p)
-	if ri < 0 {
-		return nil, geo.Rect{}, false
+// mustBeSealed panics on an index that is still being built: every read
+// walks the sealed directory and postings, so reaching one early is a
+// bug.
+func (pi *PI) mustBeSealed() {
+	if !pi.sealed {
+		panic("index: read of an unsealed PI")
 	}
-	r := pi.Regions[ri]
-	cell = r.CellRect(p)
-	ci, exists := r.cells[r.cellOf(p)]
-	if !exists {
-		return nil, cell, true
-	}
-	return pi.decodeCell(int32(ri), ci, r.cellPtr(ci), tick), cell, true
 }
 
 // SetCache attaches a shared decoded-cell cache. owner names this PI's
 // owner (typically a sealed repository segment) in cache keys and id
 // disambiguates sibling PIs of the same owner (the TPI period index).
-// Attach only to an index that will no longer be mutated or re-sealed:
-// cached decodes are never invalidated by Append/Seal, so a post-attach
-// mutation would serve stale posting lists.
+// A sealed index never changes, so cached decodes never go stale.
 func (pi *PI) SetCache(c *cache.Cache, owner uint64, id uint32) {
 	pi.cellCache = c
 	pi.cacheOwner = owner
@@ -677,12 +552,9 @@ func (pi *PI) decodeChunk(c *cellData, chunk int32) *decodedChunk {
 // decodeCell returns the IDs of one (cell, tick) posting. ri and ci are
 // the cell's region and dense-cell indices, which key the decoded-cell
 // cache when one is attached; on a cache miss the cell's whole tick chunk
-// is decoded and cached, so adjacent-tick probes (window scans) hit.
-// Returned slices are shared with the cache and must not be modified.
+// is decoded and cached, so adjacent-tick probes hit. Returned slices are
+// shared with the cache and must not be modified.
 func (pi *PI) decodeCell(ri, ci int32, c *cellData, tick int) []traj.ID {
-	if !pi.sealed {
-		return append([]traj.ID(nil), c.rawAt(tick)...)
-	}
 	if pi.cellCache == nil {
 		return pi.decodeSealed(c, tick)
 	}
@@ -703,8 +575,8 @@ func (pi *PI) decodeCell(ri, ci int32, c *cellData, tick int) []traj.ID {
 
 // LookupArea returns all IDs at the given tick whose indexed position
 // falls in a cell intersecting the query rectangle — the local-search
-// probe of §5.2. The returned cells slice lists the page ranges touched
-// when a ReadTracker is supplied (disk mode).
+// probe of §5.2. A non-nil ReadTracker is charged the page ranges of the
+// cells touched (disk mode). The PI must be sealed.
 func (pi *PI) LookupArea(area geo.Rect, tick int, rt *store.ReadTracker) []traj.ID {
 	return pi.AppendLookupArea(nil, area, tick, rt)
 }
@@ -714,27 +586,20 @@ func (pi *PI) LookupArea(area geo.Rect, tick int, rt *store.ReadTracker) []traj.
 // allocating a candidate list per probe. The appended IDs are sorted and
 // deduplicated; dst's existing contents are preserved untouched.
 func (pi *PI) AppendLookupArea(dst []traj.ID, area geo.Rect, tick int, rt *store.ReadTracker) []traj.ID {
+	pi.mustBeSealed()
 	st := len(dst)
 	for ri, r := range pi.Regions {
 		if !r.Rect.Intersects(area) {
 			continue
 		}
-		// Cell range intersecting the area within this region.
-		x0, y0, x1, y1 := r.cellRange(area)
-		for x := x0; x <= x1; x++ {
-			for y := y0; y <= y1; y++ {
-				ci, ok := r.cells[cellKey{x, y}]
-				if !ok {
-					continue
-				}
-				// Cells created after AssignPages have no placement yet
-				// (the bounds check is the old per-cell "placed" flag).
-				if rt != nil && int(ci) < len(r.pages) {
-					rt.Read(r.pages[ci])
-				}
-				dst = append(dst, pi.decodeCell(int32(ri), ci, r.cellPtr(ci), tick)...)
+		r.forEachCellIn(area, func(_ cellKey, ci int32) bool {
+			// Cells have a placement only once AssignPages ran.
+			if rt != nil && int(ci) < len(r.pages) {
+				rt.Read(r.pages[ci])
 			}
-		}
+			dst = append(dst, pi.decodeCell(int32(ri), ci, r.cellPtr(ci), tick)...)
+			return true
+		})
 	}
 	out := dst[st:]
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -763,84 +628,44 @@ func (r *Region) cellRectOf(k cellKey) geo.Rect {
 	return cell.Intersect(r.Rect)
 }
 
-// SizeBytes estimates the serialized index size: region rectangles, cell
-// directory entries, compressed postings, and the shared Huffman table.
-// The PI must be sealed first for the compressed sizes to be exact.
+// SizeBytes estimates the serialized size of the sealed index: region
+// rectangles, cell directory entries, compressed postings, and the
+// shared Huffman table.
 func (pi *PI) SizeBytes() int {
-	bits := 0
-	if pi.coder != nil {
-		bits += pi.coder.TableBits()
-	}
+	pi.mustBeSealed()
+	bits := pi.coder.TableBits()
 	for _, r := range pi.Regions {
 		bits += 4 * 64 // rectangle
-		for _, chunk := range r.cd {
-			for ci := range chunk {
-				c := &chunk[ci]
-				bits += 64 // cell key + directory entry
-				if pi.sealed {
-					for i := range c.sealed {
-						bits += 32 + int(c.sealed[i].bits) // tick tag + postings
-					}
-				} else {
-					for i := range c.raw {
-						bits += 32 + 32*len(c.raw[i].ids)
-					}
-				}
+		for _, e := range r.dir {
+			bits += 64 // cell key + directory entry
+			for _, tp := range r.cellPtr(e.ci).sealed {
+				bits += 32 + int(tp.bits) // tick tag + postings
 			}
 		}
 	}
 	return (bits + 7) / 8
 }
 
-// NumCells returns the number of non-empty cells.
-func (pi *PI) NumCells() int {
-	n := 0
-	for _, r := range pi.Regions {
-		n += len(r.cells)
-	}
-	return n
-}
-
 // AssignPages lays the sealed index out on the page store: the region
-// directory first, then every cell's postings in deterministic order.
+// directory first, then every cell's postings in directory order.
 // Queries afterwards charge I/Os through LookupArea's ReadTracker.
 func (pi *PI) AssignPages(ps *store.PageStore) {
+	pi.mustBeSealed()
 	ps.AlignToPage()
 	// Directory blob: rectangles + cell keys.
 	dir := 0
 	for _, r := range pi.Regions {
-		dir += 32 + len(r.cells)*16
+		dir += 32 + len(r.dir)*16
 	}
-	dirRange := ps.Alloc(dir)
+	ps.Alloc(dir)
 	for _, r := range pi.Regions {
-		keys := make([]cellKey, 0, len(r.cells))
-		for k := range r.cells {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].X != keys[j].X {
-				return keys[i].X < keys[j].X
-			}
-			return keys[i].Y < keys[j].Y
-		})
-		if len(r.pages) < int(r.nCells) {
-			r.pages = make([]store.PageRange, r.nCells)
-		}
-		for _, k := range keys {
-			ci := r.cells[k]
-			c := r.cellPtr(ci)
+		r.pages = make([]store.PageRange, r.nCells)
+		for _, e := range r.dir {
 			sz := 0
-			if pi.sealed {
-				for i := range c.sealed {
-					sz += 8 + (int(c.sealed[i].bits)+7)/8
-				}
-			} else {
-				for i := range c.raw {
-					sz += 8 + 4*len(c.raw[i].ids)
-				}
+			for _, tp := range r.cellPtr(e.ci).sealed {
+				sz += 8 + (int(tp.bits)+7)/8
 			}
-			r.pages[ci] = ps.Alloc(sz)
+			r.pages[e.ci] = ps.Alloc(sz)
 		}
 	}
-	_ = dirRange
 }

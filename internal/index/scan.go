@@ -25,9 +25,8 @@ type ScanStats struct {
 	// decode: either their per-cell tick range (the cell-level zone map)
 	// missed the span, or the caller's visit callback declined the cell.
 	CellsSkipped int
-	// DecodedBytes is the size of the ID slabs sealed cells decoded into
-	// (4 bytes per ID); DecodeNanos is the time those decodes took. Both
-	// stay zero on an unsealed index, whose postings are not coded.
+	// DecodedBytes is the size of the ID slabs cells decoded into (4
+	// bytes per ID); DecodeNanos is the time those decodes took.
 	DecodedBytes int64
 	DecodeNanos  int64
 }
@@ -40,40 +39,21 @@ func (s *ScanStats) Add(o ScanStats) {
 	s.DecodeNanos += o.DecodeNanos
 }
 
-// cellMayOverlap is the per-cell tick-range zone check: postings are
+// mayOverlap is the per-cell tick-range zone check: postings are
 // tick-sorted, so the first and last entries bound the cell's populated
 // span.
-func (pi *PI) cellMayOverlap(c *cellData, from, to int) bool {
-	if pi.sealed {
-		if n := len(c.sealed); n > 0 {
-			return int(c.sealed[0].tick) <= to && int(c.sealed[n-1].tick) >= from
-		}
-		return false
-	}
-	if n := len(c.raw); n > 0 {
-		return c.raw[0].tick <= to && c.raw[n-1].tick >= from
-	}
-	return false
+func (c *cellData) mayOverlap(from, to int) bool {
+	n := len(c.sealed)
+	return n > 0 && int(c.sealed[0].tick) <= to && int(c.sealed[n-1].tick) >= from
 }
 
-// scanCell appends one cell's postings over [from, to] to out. A
-// sealed cell decodes every posting of the span into one slab sized by
-// the postings' ID counts, and each emitted list is a capped sub-slice of
-// it, so the lists stay valid after the next cell is scanned. Scans
-// bypass the decoded-cell cache: a window reads each chunk about once,
-// and passing it through the cache would only evict the probes' working
-// set.
+// scanCell appends one cell's postings over [from, to] to out. It
+// decodes every posting of the span into one slab sized by the postings'
+// ID counts, and each emitted list is a capped sub-slice of it, so the
+// lists stay valid after the next cell is scanned. Scans bypass the
+// decoded-cell cache: a window reads each chunk about once, and passing
+// it through the cache would only evict the probes' working set.
 func (pi *PI) scanCell(c *cellData, from, to int, st *ScanStats, out *CellScan) {
-	if !pi.sealed {
-		i := sort.Search(len(c.raw), func(i int) bool { return c.raw[i].tick >= from })
-		for ; i < len(c.raw) && c.raw[i].tick <= to; i++ {
-			if len(c.raw[i].ids) > 0 {
-				out.Ticks = append(out.Ticks, c.raw[i].tick)
-				out.IDs = append(out.IDs, c.raw[i].ids)
-			}
-		}
-		return
-	}
 	lo := sort.Search(len(c.sealed), func(i int) bool { return int(c.sealed[i].tick) >= from })
 	hi, n := lo, 0
 	for ; hi < len(c.sealed) && int(c.sealed[hi].tick) <= to; hi++ {
@@ -115,8 +95,10 @@ func (t *TPI) CoveredTicks(from, to int) int {
 
 // PopulatedCells calls emit with the clipped rectangle and populated tick
 // range of every non-empty cell across all periods — the raw material of
-// a segment-level zone map. Iteration order is unspecified.
+// a segment-level zone map. Cells come in period, region and directory
+// order. The TPI must be sealed.
 func (t *TPI) PopulatedCells(emit func(cell geo.Rect, tickLo, tickHi int)) {
+	t.mustBeSealed()
 	for i := range t.Periods {
 		t.Periods[i].PI.PopulatedCells(emit)
 	}
@@ -124,19 +106,12 @@ func (t *TPI) PopulatedCells(emit func(cell geo.Rect, tickLo, tickHi int)) {
 
 // PopulatedCells is the per-PI form of TPI.PopulatedCells.
 func (pi *PI) PopulatedCells(emit func(cell geo.Rect, tickLo, tickHi int)) {
+	pi.mustBeSealed()
 	for _, r := range pi.Regions {
-		for k, ci := range r.cells {
-			c := r.cellPtr(ci)
-			var lo, hi int
-			switch {
-			case pi.sealed && len(c.sealed) > 0:
-				lo, hi = int(c.sealed[0].tick), int(c.sealed[len(c.sealed)-1].tick)
-			case !pi.sealed && len(c.raw) > 0:
-				lo, hi = c.raw[0].tick, c.raw[len(c.raw)-1].tick
-			default:
-				continue
+		for _, e := range r.dir {
+			if s := r.cellPtr(e.ci).sealed; len(s) > 0 {
+				emit(r.cellRectOf(e.key), int(s[0].tick), int(s[len(s)-1].tick))
 			}
-			emit(r.cellRectOf(k), lo, hi)
 		}
 	}
 }

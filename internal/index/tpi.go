@@ -45,8 +45,9 @@ type TPI struct {
 	Periods  []Period
 	stats    Stats
 	lastTick int
+	sealed   bool
 
-	// Append scratch, reused across ticks.
+	// Append scratch, reused across ticks and released by Seal.
 	cover  []int   // per-region covered counts of the current tick
 	regIdx []int   // per-point covering-region index (-1 = uncovered)
 	uncov  []int   // indices of uncovered points
@@ -133,12 +134,15 @@ func (t *TPI) adr(pi *PI, covered []int) float64 {
 
 // Append feeds one timestamp of (already reconstructed or raw) points
 // into the index — Algorithm 4's loop body. Ticks must arrive in strictly
-// increasing order.
+// increasing order, and all before Seal.
 func (t *TPI) Append(ids []traj.ID, points []geo.Point, tick int) {
 	start := time.Now()
 	defer func() { t.stats.BuildTime += time.Since(start) }()
 	if len(ids) != len(points) {
 		panic("index: ids/points length mismatch")
+	}
+	if t.sealed {
+		panic("index: Append after Seal")
 	}
 	if tick <= t.lastTick {
 		panic("index: ticks must be strictly increasing")
@@ -199,7 +203,7 @@ func (t *TPI) Append(ids []traj.ID, points []geo.Point, tick int) {
 
 	// Reuse: insert covered points, extend for uncovered (lines 10–11).
 	// Coverage was just computed, so feed it back instead of re-probing
-	// every point inside Insert.
+	// every point.
 	t.uncov = cur.PI.insertByRegion(ids, points, tick, t.regIdx, t.uncov[:0])
 	rest := t.uncov
 	if len(rest) > 0 {
@@ -209,26 +213,39 @@ func (t *TPI) Append(ids []traj.ID, points []geo.Point, tick int) {
 			subIDs[i] = ids[idx]
 			subPts[i] = points[idx]
 		}
-		cur.PI.Extend(subIDs, subPts, tick)
+		cur.PI.extend(subIDs, subPts, tick)
 		t.stats.Insertions++
 	}
 	cur.End = tick
 }
 
-// Seal compresses the posting lists of every period.
+// Seal compresses the posting lists of every period and releases the
+// build state (see PI.Seal). A sealed TPI is read-only: Append panics,
+// and a second Seal is a no-op.
 func (t *TPI) Seal() error {
+	if t.sealed {
+		return nil
+	}
 	for i := range t.Periods {
 		if err := t.Periods[i].PI.Seal(); err != nil {
 			return err
 		}
 	}
+	t.cover, t.regIdx, t.uncov, t.hint = nil, nil, nil, nil
+	t.sealed = true
 	return nil
 }
 
+// mustBeSealed panics on a TPI that is still being built (see
+// PI.mustBeSealed).
+func (t *TPI) mustBeSealed() {
+	if !t.sealed {
+		panic("index: read of an unsealed TPI")
+	}
+}
+
 // SetCache attaches a shared decoded-cell cache to every period's PI,
-// keyed under the given owner token. Call only after the final Seal, on
-// an index that will no longer be mutated: cached decodes are never
-// invalidated by Append/Seal. A nil cache detaches.
+// keyed under the given owner token. A nil cache detaches.
 func (t *TPI) SetCache(c *cache.Cache, owner uint64) {
 	for i := range t.Periods {
 		t.Periods[i].PI.SetCache(c, owner, uint32(i))
@@ -248,32 +265,18 @@ func (t *TPI) PeriodOf(tick int) *Period {
 	return nil
 }
 
-// Lookup returns the IDs in the g_c cell containing p at the given tick,
-// with the cell rectangle. With a cache attached the returned slice may
-// be shared with the decoded-cell cache (and so with concurrent readers);
-// callers must not modify it.
-func (t *TPI) Lookup(p geo.Point, tick int) (ids []traj.ID, cell geo.Rect, ok bool) {
-	period := t.PeriodOf(tick)
-	if period == nil {
-		return nil, geo.Rect{}, false
-	}
-	return period.PI.Lookup(p, tick)
-}
-
 // LookupArea performs the local-search probe over the period containing
-// tick (see §5.2); rt, when non-nil, charges disk I/Os.
+// tick (see §5.2); rt, when non-nil, charges disk I/Os. The TPI must be
+// sealed.
 func (t *TPI) LookupArea(area geo.Rect, tick int, rt *store.ReadTracker) []traj.ID {
-	period := t.PeriodOf(tick)
-	if period == nil {
-		return nil
-	}
-	return period.PI.LookupArea(area, tick, rt)
+	return t.AppendLookupArea(nil, area, tick, rt)
 }
 
 // AppendLookupArea is LookupArea appending into dst (see
 // PI.AppendLookupArea); dst is returned unchanged when the tick falls
 // outside every period.
 func (t *TPI) AppendLookupArea(dst []traj.ID, area geo.Rect, tick int, rt *store.ReadTracker) []traj.ID {
+	t.mustBeSealed()
 	period := t.PeriodOf(tick)
 	if period == nil {
 		return dst

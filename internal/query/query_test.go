@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -426,4 +427,40 @@ func BenchmarkSearchRectAllocs(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkBuildEngine times BuildEngine and reports retained_B/pt: the
+// live heap the built engine adds (HeapAlloc after a GC with the engine
+// live, minus the same figure before the build) per indexed point. The
+// summary is built, and streamed once, before any measurement, so the
+// figure is the index alone.
+func BenchmarkBuildEngine(b *testing.B) {
+	d := gen.Porto(gen.Config{NumTrajectories: 300, MinLen: 60, MaxLen: 120, Seed: 5})
+	sum := core.Build(d, core.DefaultOptions(partition.Spatial, 0.1))
+	opts := index.Options{EpsS: 0.1, GC: geo.MetersToDegrees(100), EpsC: 0.5, EpsD: 0.5, Seed: 6}
+	if _, err := BuildEngine(sum, opts, nil); err != nil {
+		b.Fatal(err)
+	}
+	heap := func() float64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return float64(ms.HeapAlloc)
+	}
+	var retained float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		before := heap()
+		b.StartTimer()
+		eng, err := BuildEngine(sum, opts, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		retained += heap() - before
+		runtime.KeepAlive(eng)
+		b.StartTimer()
+	}
+	b.ReportMetric(retained/float64(b.N)/float64(d.NumPoints()), "retained_B/pt")
 }

@@ -187,9 +187,11 @@ func (h *hotTail) tickSpan() (lo, hi int, ok bool) {
 	return lo, hi, ok
 }
 
-// snapshot copies every column with tick ≤ bound, ascending — the
-// compactor's input. The copies are private, so the builder can run
-// without holding any hot-tail lock while the original columns stay
+// snapshot returns every column with tick ≤ bound, ascending — the
+// compactor's input. Only the slice headers are copied: once freeze(bound)
+// has returned, no ingest can touch a column ≤ bound again (the floor
+// check rejects it, and columns are append-only), so the builder reads
+// the hot tail's own arrays without any lock while the columns stay
 // queryable until trim.
 func (h *hotTail) snapshot(bound int) []*traj.Column {
 	h.mu.RLock()
@@ -204,11 +206,7 @@ func (h *hotTail) snapshot(bound int) []*traj.Column {
 	out := make([]*traj.Column, 0, len(ticks))
 	for _, t := range ticks {
 		c := h.cols[t]
-		out = append(out, &traj.Column{
-			Tick:   t,
-			IDs:    append([]traj.ID(nil), c.ids...),
-			Points: append([]geo.Point(nil), c.pts...),
-		})
+		out = append(out, &traj.Column{Tick: t, IDs: c.ids, Points: c.pts})
 	}
 	return out
 }

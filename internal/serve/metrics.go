@@ -151,6 +151,12 @@ func (r *Repository) registerSources() {
 			"Wall time Open spent loading the manifest's sealed segments.", r.openLoad.Seconds())
 		gauge("ppq_open_load_busy_seconds",
 			"Sum of per-segment load times at Open (busy / wall = achieved parallelism).", r.openLoadBusy.Seconds())
+		counter("ppq_compaction_seconds_total",
+			"Wall time of compactions' chunk build-and-publish loops.",
+			time.Duration(r.compactWall.Load()).Seconds())
+		counter("ppq_compaction_busy_seconds_total",
+			"Sum of per-chunk build+persist times (busy / wall = achieved parallelism).",
+			time.Duration(r.compactBusy.Load()).Seconds())
 
 		ws := r.wal.Stats()
 		walGauge := func(name, help string, v float64) { gauge(name, help, v) }
@@ -257,10 +263,12 @@ func (r *Repository) statsFromSnapshot(snap *obs.Snapshot) Stats {
 			Reclaimed:       snap.Int("ppq_wal_reclaimed_segments_total"),
 			Failed:          walFailed,
 		},
-		WALReplayedPoints:   snap.Int("ppq_replayed_points_total"),
-		OrphansRemoved:      snap.Int("ppq_orphans_removed_total"),
-		OpenLoadSeconds:     snap.Value("ppq_open_load_seconds"),
-		OpenLoadBusySeconds: snap.Value("ppq_open_load_busy_seconds"),
+		WALReplayedPoints:     snap.Int("ppq_replayed_points_total"),
+		OrphansRemoved:        snap.Int("ppq_orphans_removed_total"),
+		OpenLoadSeconds:       snap.Value("ppq_open_load_seconds"),
+		OpenLoadBusySeconds:   snap.Value("ppq_open_load_busy_seconds"),
+		CompactionSeconds:     snap.Value("ppq_compaction_seconds_total"),
+		CompactionBusySeconds: snap.Value("ppq_compaction_busy_seconds_total"),
 		Window: WindowStats{
 			Queries:         snap.Int("ppq_window_queries_total"),
 			SegmentsScanned: snap.Int("ppq_window_segments_scanned_total"),

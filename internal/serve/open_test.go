@@ -75,6 +75,13 @@ func reopenWith(t *testing.T, opts Options, workers int) openResult {
 		t.Fatalf("Open(Workers=%d): %v", workers, err)
 	}
 	defer repo.Close()
+	return observe(t, repo)
+}
+
+// observe records a repository's segments, a fixed set of window and
+// batch answers over them, and its stats.
+func observe(t *testing.T, repo *Repository) openResult {
+	t.Helper()
 	var res openResult
 	for _, s := range repo.Segments() {
 		res.segs = append(res.segs, Segment{
@@ -101,7 +108,7 @@ func reopenWith(t *testing.T, opts Options, workers int) openResult {
 		from := tick - rng.Intn(20)
 		w, err := repo.Window(ctx, rect, from, from+rng.Intn(60), i%2 == 0)
 		if err != nil {
-			t.Fatalf("Window(Workers=%d): %v", workers, err)
+			t.Fatalf("Window: %v", err)
 		}
 		res.windows = append(res.windows, w)
 	}

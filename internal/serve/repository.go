@@ -61,9 +61,10 @@ type Options struct {
 	// compacted ticks return query.ErrNoRaw (hot-tail ticks are raw by
 	// nature and always answer exactly).
 	Raw *traj.Dataset
-	// Workers bounds the goroutines of batch probes, window segment scans
-	// and segment loading at Open. 0 means runtime.NumCPU(); either way
-	// the pool is capped at GOMAXPROCS. 1 runs each of them serially.
+	// Workers bounds the goroutines of batch probes, window segment scans,
+	// segment loading at Open and a compaction's chunk builds. 0 means
+	// runtime.NumCPU(); either way the pool is capped at GOMAXPROCS. 1
+	// runs each of them serially.
 	Workers int
 	// CacheBytes budgets the shared decoded-cell cache sitting in front
 	// of every sealed segment's compressed postings: repeated STRQ and
@@ -269,6 +270,12 @@ type Repository struct {
 	orphansRemoved int64         // unreferenced files deleted at startup
 	openLoad       time.Duration // wall time of the sealed-segment loads
 	openLoadBusy   time.Duration // sum of the per-segment load times
+
+	// Compaction timing, in nanoseconds: the wall time of the chunk
+	// build-and-publish loops, and the sum of the per-chunk build+persist
+	// times inside them (busy / wall = achieved parallelism).
+	compactWall atomic.Int64
+	compactBusy atomic.Int64
 
 	// met holds every counter and histogram the serving layer owns; the
 	// registry inside it is the single source /v1/stats and /metrics
@@ -838,12 +845,13 @@ func (r *Repository) compactLoop() {
 	}
 }
 
-// compactOnce drains hot ticks ≤ bound into one sealed segment. With
-// force, everything goes; otherwise the freshest KeepHotTicks stay hot
-// and the run is skipped entirely when the tail is below the HotTicks
-// threshold. The build runs without any repository lock — queries and
-// ingest proceed throughout — and publish makes the new segment visible
-// and trims the hot ticks it covers in one write section, so every point
+// compactOnce drains hot ticks ≤ bound into a chain of sealed segments
+// of at most MaxSegmentTicks each (see sealChunks). With force,
+// everything goes; otherwise the freshest KeepHotTicks stay hot and the
+// run is skipped entirely when the tail is below the HotTicks threshold.
+// The builds run without any repository lock — queries and ingest
+// proceed throughout — and publish makes each new segment visible and
+// trims the hot ticks it covers in one write section, so every point
 // stays queryable at every instant, in exactly one tier.
 func (r *Repository) compactOnce(force bool) error {
 	r.compactMu.Lock()
@@ -867,46 +875,12 @@ func (r *Repository) compactOnce(force bool) error {
 	// Freeze: from here on no ingest can land at tick ≤ bound, so the
 	// snapshot below is complete and stays complete.
 	r.hot.freeze(bound)
-	cols := r.hot.snapshot(bound)
-
-	// Drain in chunks of at most MaxSegmentTicks, publishing each sealed
-	// segment as soon as it is ready so readers migrate progressively.
-	for len(cols) > 0 {
-		n := 1
-		for n < len(cols) && cols[n].Tick-cols[0].Tick < r.opts.MaxSegmentTicks {
-			n++
-		}
-		chunk := cols[:n]
-		cols = cols[n:]
-		chunkEnd := chunk[n-1].Tick
-
-		id := r.nextSegID
-		seg, err := buildSegment(id, chunk, r.opts.Build, r.opts.Index, r.opts.Raw)
-		if err != nil {
-			return err
-		}
-		r.attachCache(seg)
-		if r.opts.Dir != "" {
-			if err := seg.persist(r.opts.Dir); err != nil {
-				return err
-			}
-			// The zone sidecar rides the same publish sequence: written
-			// durably before the manifest references the segment, and
-			// rebuildable from the blob if a crash lands in between.
-			if err := seg.persistZone(r.opts.Dir); err != nil {
-				return err
-			}
-		}
-		r.nextSegID = id + 1
-		r.publish(seg, chunkEnd)
-
-		r.met.compactions.Inc()
-		r.met.compactedPoints.Add(int64(seg.Points))
-		if r.opts.Dir != "" {
-			if err := r.writeManifest(); err != nil {
-				return err
-			}
-		}
+	chunks := chunkColumns(r.hot.snapshot(bound), r.opts.MaxSegmentTicks)
+	start := time.Now()
+	err := r.sealChunks(chunks)
+	r.compactWall.Add(int64(time.Since(start)))
+	if err != nil {
+		return err
 	}
 
 	// Empty trailing ticks up to bound are sealed too (there is nothing
@@ -936,6 +910,121 @@ func (r *Repository) compactOnce(force bool) error {
 		}
 	}
 	return nil
+}
+
+// chunkColumns cuts ascending columns into the segment chunks of one
+// compaction: each chunk starts at the first column left and takes every
+// following column less than maxTicks ticks after it.
+func chunkColumns(cols []*traj.Column, maxTicks int) [][]*traj.Column {
+	var chunks [][]*traj.Column
+	for len(cols) > 0 {
+		n := 1
+		for n < len(cols) && cols[n].Tick-cols[0].Tick < maxTicks {
+			n++
+		}
+		chunks = append(chunks, cols[:n])
+		cols = cols[n:]
+	}
+	return chunks
+}
+
+// sealChunks turns chunk i into segment nextSegID+i and publishes the
+// segments one by one in tick order, each followed by a manifest swap,
+// so readers migrate progressively. A single chunk is sealed inline; a
+// backlog's chunks are built and persisted on the worker pool, claimed
+// in tick order, while this goroutine publishes each one as soon as it
+// and every chunk before it are ready. Segment IDs, files, cache owners
+// and the manifest come out as a serial run would leave them.
+//
+// When chunk k fails, chunks before k are published, nothing from k on
+// is, and chunks not yet started are skipped. sealChunks returns only
+// after every started build has finished, so nothing writes into Dir
+// after it returns; the next compaction reuses the same IDs, and
+// durableSwap's rename replaces any file a discarded chunk left.
+func (r *Repository) sealChunks(chunks [][]*traj.Column) error {
+	type slot struct {
+		seg  *Segment
+		err  error
+		done chan struct{}
+	}
+	slots := make([]slot, len(chunks))
+	for i := range slots {
+		slots[i].done = make(chan struct{})
+	}
+	base := r.nextSegID
+	// Chunks after failed are skipped; it only ever falls.
+	var failed atomic.Int64
+	failed.Store(int64(len(chunks)))
+	fail := func(i int64) {
+		for f := failed.Load(); i < f && !failed.CompareAndSwap(f, i); f = failed.Load() {
+		}
+	}
+	build := func(_ context.Context, i int) {
+		defer close(slots[i].done)
+		if int64(i) > failed.Load() {
+			return
+		}
+		t0 := time.Now()
+		slots[i].seg, slots[i].err = r.sealChunk(base+uint64(i), chunks[i])
+		r.compactBusy.Add(int64(time.Since(t0)))
+		if slots[i].err != nil {
+			fail(int64(i))
+		}
+	}
+	run := func() {
+		par.EachCtx(context.Background(), par.Workers(r.opts.Workers), len(chunks), build) //nolint:errcheck // the background context never ends
+	}
+	if len(chunks) == 1 {
+		run()
+	} else {
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run()
+		}()
+		defer wg.Wait()
+		defer fail(-1) // an early return skips every chunk not yet started
+	}
+
+	for i := range slots {
+		<-slots[i].done
+		seg, err := slots[i].seg, slots[i].err
+		if err != nil {
+			return err
+		}
+		r.attachCache(seg)
+		r.nextSegID = seg.ID + 1
+		r.publish(seg, seg.EndTick)
+
+		r.met.compactions.Inc()
+		r.met.compactedPoints.Add(int64(seg.Points))
+		if r.opts.Dir != "" {
+			if err := r.writeManifest(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// sealChunk builds one chunk's segment and, on a persistent repository,
+// writes its blob and zone sidecar durably — both before any manifest
+// can name the segment, and the sidecar rebuildable from the blob if a
+// crash lands in between. It touches only its own files and the returned
+// segment, so sealChunks runs many at once.
+func (r *Repository) sealChunk(id uint64, cols []*traj.Column) (*Segment, error) {
+	seg, err := buildSegment(id, cols, r.opts.Build, r.opts.Index, r.opts.Raw)
+	if err != nil || r.opts.Dir == "" {
+		return seg, err
+	}
+	if err := seg.persist(r.opts.Dir); err != nil {
+		return nil, err
+	}
+	if err := seg.persistZone(r.opts.Dir); err != nil {
+		return nil, err
+	}
+	return seg, nil
 }
 
 // publish appends seg (nil for none) to the sealed tier, advances the
@@ -1305,6 +1394,11 @@ type Stats struct {
 	// their ratio is the parallelism the load achieved.
 	OpenLoadSeconds     float64 `json:"open_load_seconds"`
 	OpenLoadBusySeconds float64 `json:"open_load_busy_seconds"`
+	// CompactionSeconds is the wall time compactions spent building and
+	// publishing their chunks; CompactionBusySeconds sums the per-chunk
+	// build+persist times, so their ratio is the parallelism achieved.
+	CompactionSeconds     float64 `json:"compaction_seconds"`
+	CompactionBusySeconds float64 `json:"compaction_busy_seconds"`
 	// Window reports the window range-executor's planner telemetry.
 	Window WindowStats `json:"window"`
 	// Admission reports the overload valve: per-class in-flight /

@@ -14,9 +14,6 @@ import (
 	"math"
 	"math/rand"
 	"sync"
-	"sync/atomic"
-
-	"ppqtraj/internal/par"
 )
 
 // Result describes a clustering: one centroid per cluster and, for every
@@ -221,44 +218,25 @@ func kmeansFrom(data [][]float64, centroids [][]float64, maxIter int) *Result {
 	counts := sc.counts[:k]
 	// 2-D data (spatial features, the dominant workload) assigns against
 	// flat centroid-coordinate arrays: same arithmetic and tie order as
-	// the generic scan, minus the per-centroid slice indirection. The
-	// per-point argmin writes are independent, so the scan fans out on
-	// the worker pool for large inputs — bit-identical results under any
-	// chunking.
+	// the generic scan, minus the per-centroid slice indirection.
 	var cx, cy []float64
 	if dim == 2 {
 		cx = sc.floats(&sc.cx, k)
 		cy = sc.floats(&sc.cy, k)
 	}
 	assignAll := func() bool {
-		changed := false
 		if dim == 2 {
 			for c, cent := range centroids {
 				cx[c], cy[c] = cent[0], cent[1]
 			}
-			var flag atomic.Bool
-			par.For(par.Workers(0), n, 2048, func(_, lo, hi int) {
-				ch := false
-				for i := lo; i < hi; i++ {
-					v := data[i]
-					best := nearest2D(v[0], v[1], cx, cy)
-					if assign[i] != best {
-						ch = true
-						assign[i] = best
-					}
-				}
-				if ch {
-					flag.Store(true)
-				}
-			})
-			return flag.Load()
 		}
+		changed := false
 		for i, v := range data {
-			best, bestD := 0, math.Inf(1)
-			for c, cent := range centroids {
-				if d := dist2(v, cent); d < bestD {
-					best, bestD = c, d
-				}
+			var best int
+			if dim == 2 {
+				best = nearest2D(v[0], v[1], cx, cy)
+			} else {
+				best = nearest(v, centroids)
 			}
 			if assign[i] != best {
 				changed = true
@@ -319,8 +297,20 @@ func kmeansFrom(data [][]float64, centroids [][]float64, maxIter int) *Result {
 	return &Result{Centroids: centroids, Assign: assign}
 }
 
+// nearest returns the index of the centroid nearest to v: first strict
+// minimum.
+func nearest(v []float64, centroids [][]float64) int {
+	best, bestD := 0, math.Inf(1)
+	for c, cent := range centroids {
+		if d := dist2(v, cent); d < bestD {
+			best, bestD = c, d
+		}
+	}
+	return best
+}
+
 // nearest2D returns the index of the nearest (cx, cy) centroid to
-// (px, py): first strict minimum, matching the generic scan.
+// (px, py): first strict minimum, matching nearest.
 func nearest2D(px, py float64, cx, cy []float64) int {
 	best, bestD := 0, math.Inf(1)
 	for c := range cx {

@@ -30,7 +30,6 @@ import (
 	"ppqtraj/internal/codec"
 	"ppqtraj/internal/cqc"
 	"ppqtraj/internal/geo"
-	"ppqtraj/internal/par"
 	"ppqtraj/internal/partition"
 	"ppqtraj/internal/predict"
 	"ppqtraj/internal/quant"
@@ -75,11 +74,6 @@ type Options struct {
 	MaxPartitions int
 	// Seed makes the build deterministic.
 	Seed int64
-	// Workers bounds the Append worker pool (0 = runtime.NumCPU()).
-	// Parallel and sequential builds produce bit-identical summaries:
-	// work is split on fixed index ranges and merged in input order, so
-	// Workers only affects speed, never output. It is not serialized.
-	Workers int
 }
 
 // DefaultOptions returns the paper's §6.1 defaults for a given dataset
@@ -355,9 +349,8 @@ type trajState struct {
 	arFeature []float64   // EMA-smoothed autocorrelation feature
 }
 
-// buildWorker is the per-goroutine scratch of the parallel Append phases.
-// Each worker owns its fitting and feature workspaces, so the fan-out
-// phases allocate nothing in steady state.
+// buildWorker is the fitting and feature workspace Append reuses, so its
+// per-partition and per-point phases allocate nothing in steady state.
 type buildWorker struct {
 	fitter    predict.Fitter
 	ar        predict.ARScratch
@@ -368,17 +361,14 @@ type buildWorker struct {
 
 // appendScratch holds the per-column buffers Append reuses across calls.
 type appendScratch struct {
-	states  []*trajState           // per column index, nil for new trajectories
-	trs     []*TrajSummary         // per column index, nil for new trajectories
-	feats   [][]float64            // per-point partitioning features
-	featBuf []float64              // backing array for feats
-	preds   []geo.Point            // per-point predictions
-	parts   []int32                // per-point partition labels
-	errs    []geo.Point            // per-point prediction errors
-	words   []int                  // per-point codeword indexes
-	entries []PointEntry           // per-point stored codes
-	finals  []geo.Point            // per-point final reconstructions
-	coeffs  []predict.Coefficients // per-group fitted coefficients
+	states  []*trajState   // per column index, nil for new trajectories
+	trs     []*TrajSummary // per column index, nil for new trajectories
+	feats   [][]float64    // per-point partitioning features
+	featBuf []float64      // backing array for feats
+	preds   []geo.Point    // per-point predictions
+	parts   []int32        // per-point partition labels
+	errs    []geo.Point    // per-point prediction errors
+	words   []int          // per-point codeword indexes
 }
 
 // resize readies every per-point buffer for a column of n points.
@@ -391,8 +381,6 @@ func (sc *appendScratch) resize(n int) {
 		sc.parts = make([]int32, n)
 		sc.errs = make([]geo.Point, n)
 		sc.words = make([]int, n)
-		sc.entries = make([]PointEntry, n)
-		sc.finals = make([]geo.Point, n)
 	}
 	sc.states = sc.states[:n]
 	sc.trs = sc.trs[:n]
@@ -401,8 +389,6 @@ func (sc *appendScratch) resize(n int) {
 	sc.parts = sc.parts[:n]
 	sc.errs = sc.errs[:n]
 	sc.words = sc.words[:n]
-	sc.entries = sc.entries[:n]
-	sc.finals = sc.finals[:n]
 }
 
 // features readies the flat feature backing for n points of dim d and
@@ -426,8 +412,7 @@ type Builder struct {
 	coder   *cqc.Coder
 	sum     *Summary
 	state   map[traj.ID]*trajState
-	nw      int
-	workers []buildWorker
+	work    buildWorker
 	scratch appendScratch
 }
 
@@ -455,9 +440,7 @@ func NewBuilder(opts Options) *Builder {
 			Ticks: make(map[int]*TickSummary),
 			Trajs: make(map[traj.ID]*TrajSummary),
 		},
-		nw: par.Workers(opts.Workers),
 	}
-	b.workers = make([]buildWorker, b.nw)
 	if opts.FixedWords <= 0 {
 		if opts.ClusterQuantizer {
 			b.inc = quant.NewIncrementalClustered(opts.Epsilon1)
@@ -481,8 +464,7 @@ func NewBuilder(opts Options) *Builder {
 }
 
 // features fills the scratch feature slots for every column member.
-// Each point's feature depends only on its own trajectory's state, so the
-// Autocorr fan-out is safe and order-independent.
+// Each point's feature depends only on its own trajectory's state.
 func (b *Builder) features(col *traj.Column) {
 	sc := &b.scratch
 	switch b.opts.Mode {
@@ -494,33 +476,31 @@ func (b *Builder) features(col *traj.Column) {
 		const alpha = 0.1
 		k := b.opts.K
 		sc.features(col.Len(), k)
-		par.For(b.nw, col.Len(), 16, func(w, lo, hi int) {
-			wk := &b.workers[w]
-			if cap(wk.rawFeat) < k {
-				wk.rawFeat = make([]float64, k)
+		wk := &b.work
+		if cap(wk.rawFeat) < k {
+			wk.rawFeat = make([]float64, k)
+		}
+		raw := wk.rawFeat[:k]
+		for i, p := range col.Points {
+			st := sc.states[i]
+			var window []geo.Point
+			if st != nil {
+				window = st.rawWindow
 			}
-			raw := wk.rawFeat[:k]
-			for i := lo; i < hi; i++ {
-				st := sc.states[i]
-				var window []geo.Point
+			wk.ar.FeatureInto(raw, window, p, k)
+			out := sc.feats[i]
+			if st != nil && st.arFeature != nil {
+				for d := range raw {
+					st.arFeature[d] = (1-alpha)*st.arFeature[d] + alpha*raw[d]
+				}
+				copy(out, st.arFeature)
+			} else {
 				if st != nil {
-					window = st.rawWindow
+					st.arFeature = append([]float64(nil), raw...)
 				}
-				wk.ar.FeatureInto(raw, window, col.Points[i], k)
-				out := sc.feats[i]
-				if st != nil && st.arFeature != nil {
-					for d := range raw {
-						st.arFeature[d] = (1-alpha)*st.arFeature[d] + alpha*raw[d]
-					}
-					copy(out, st.arFeature)
-				} else {
-					if st != nil {
-						st.arFeature = append([]float64(nil), raw...)
-					}
-					copy(out, raw)
-				}
+				copy(out, raw)
 			}
-		})
+		}
 	default:
 		sc.features(col.Len(), 2)
 		for i, p := range col.Points {
@@ -533,11 +513,8 @@ func (b *Builder) features(col *traj.Column) {
 // Append processes one timestamp column (Algorithm 1 lines 3–8 across all
 // partitions). Columns must arrive in strictly increasing tick order.
 //
-// The three fan-out phases — feature extraction, per-partition model
-// fitting/prediction, and CQC refinement — run on the builder's worker
-// pool over fixed index ranges and merge in input order, so a parallel
-// build is bit-identical to a sequential one (only the error quantization
-// is inherently sequential: codebook growth order matters). All per-point
+// Append runs on the caller's goroutine; parallelism lives one level up,
+// where a server builds independent segments side by side. All per-point
 // buffers are builder-owned scratch; steady-state Append allocates only
 // what the summary itself retains.
 func (b *Builder) Append(col *traj.Column) {
@@ -571,61 +548,47 @@ func (b *Builder) Append(col *traj.Column) {
 	tickSum := &TickSummary{Tick: col.Tick, Coeffs: make(map[int]predict.Coefficients, len(res.Groups))}
 	b.sum.Ticks[col.Tick] = tickSum
 
-	// Predictions per partition group: every group is independent (the fit
-	// reads only member histories, predictions write disjoint slots).
-	if cap(sc.coeffs) < len(res.Groups) {
-		sc.coeffs = make([]predict.Coefficients, len(res.Groups))
-	}
-	sc.coeffs = sc.coeffs[:len(res.Groups)]
-	par.For(b.nw, len(res.Groups), 1, func(w, glo, ghi int) {
-		wk := &b.workers[w]
-		for g := glo; g < ghi; g++ {
-			members := res.Groups[g]
-			var coeffs predict.Coefficients
-			if !b.opts.NoPrediction {
-				// Fit Equation 1 over the members with a full k-history.
-				wk.histories = wk.histories[:0]
-				wk.targets = wk.targets[:0]
-				for _, i := range members {
-					st := sc.states[i]
-					if st != nil && len(st.history) >= k {
-						wk.histories = append(wk.histories, st.history)
-						wk.targets = append(wk.targets, col.Points[i])
-					}
-				}
-				coeffs = wk.fitter.Fit(k, wk.histories, wk.targets)
-				sc.coeffs[g] = coeffs
-			}
-			label := int32(res.Labels[g])
-			for _, i := range members {
-				sc.parts[i] = label
-				if b.opts.NoPrediction {
-					sc.preds[i] = geo.Point{} // prediction stays the origin
-					continue
-				}
-				st := sc.states[i]
-				switch {
-				case st == nil || len(st.history) == 0:
-					sc.preds[i] = geo.Point{} // origin
-				case len(st.history) < k:
-					sc.preds[i] = st.history[len(st.history)-1]
-				default:
-					sc.preds[i] = predict.Predict(coeffs, st.history)
-				}
-			}
-		}
-	})
-	for g, label := range res.Labels {
+	// Fit and predict per partition group.
+	wk := &b.work
+	for g, members := range res.Groups {
+		label := res.Labels[g]
 		if label > b.sum.maxLabel {
 			b.sum.maxLabel = label
 		}
+		var coeffs predict.Coefficients
 		if !b.opts.NoPrediction {
-			tickSum.Coeffs[label] = sc.coeffs[g]
+			// Fit Equation 1 over the members with a full k-history.
+			wk.histories = wk.histories[:0]
+			wk.targets = wk.targets[:0]
+			for _, i := range members {
+				st := sc.states[i]
+				if st != nil && len(st.history) >= k {
+					wk.histories = append(wk.histories, st.history)
+					wk.targets = append(wk.targets, col.Points[i])
+				}
+			}
+			coeffs = wk.fitter.Fit(k, wk.histories, wk.targets)
+			tickSum.Coeffs[label] = coeffs
+		}
+		for _, i := range members {
+			sc.parts[i] = int32(label)
+			if b.opts.NoPrediction {
+				sc.preds[i] = geo.Point{} // prediction stays the origin
+				continue
+			}
+			st := sc.states[i]
+			switch {
+			case st == nil || len(st.history) == 0:
+				sc.preds[i] = geo.Point{} // origin
+			case len(st.history) < k:
+				sc.preds[i] = st.history[len(st.history)-1]
+			default:
+				sc.preds[i] = predict.Predict(coeffs, st.history)
+			}
 		}
 	}
-
-	// Quantize the prediction errors (Algorithm 1 line 6). Codebook growth
-	// is order-dependent, so this phase stays sequential.
+	// Quantize the prediction errors (Algorithm 1 line 6) in input order:
+	// codebook growth is order-dependent.
 	for i := range sc.errs {
 		sc.errs[i] = col.Points[i].Sub(sc.preds[i])
 	}
@@ -640,24 +603,15 @@ func (b *Builder) Append(col *traj.Column) {
 		book = b.inc.Book
 	}
 
-	// Reconstruct and refine: per-point, stateless, parallel.
-	par.For(b.nw, n, 64, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			recon := sc.preds[i].Add(book.Word(sc.words[i]))
-			entry := PointEntry{Part: sc.parts[i], Word: int32(sc.words[i])}
-			final := recon
-			if b.coder != nil {
-				entry.CQC = b.coder.Encode(col.Points[i], recon)
-				final = b.coder.Refine(recon, entry.CQC)
-			}
-			sc.entries[i] = entry
-			sc.finals[i] = final
-		}
-	})
-
-	// Record: sequential merge in input order.
+	// Reconstruct, refine and record, in input order.
 	for i, id := range col.IDs {
-		final := sc.finals[i]
+		recon := sc.preds[i].Add(book.Word(sc.words[i]))
+		entry := PointEntry{Part: sc.parts[i], Word: int32(sc.words[i])}
+		final := recon
+		if b.coder != nil {
+			entry.CQC = b.coder.Encode(col.Points[i], recon)
+			final = b.coder.Refine(recon, entry.CQC)
+		}
 		tr := sc.trs[i]
 		if tr == nil {
 			tr = &TrajSummary{Start: col.Tick}
@@ -666,7 +620,7 @@ func (b *Builder) Append(col *traj.Column) {
 		} else if len(tr.Entries) > 0 && tr.Entries[len(tr.Entries)-1].Part != sc.parts[i] {
 			b.sum.partChanges++
 		}
-		tr.Entries = append(tr.Entries, sc.entries[i])
+		tr.Entries = append(tr.Entries, entry)
 		tr.Recon = append(tr.Recon, final)
 
 		st := sc.states[i]

@@ -341,10 +341,13 @@ func TestBuildTimesRecorded(t *testing.T) {
 	}
 }
 
+// BenchmarkBuildPPQS times a whole PPQ-S build and reports its
+// throughput in indexed points per second.
 func BenchmarkBuildPPQS(b *testing.B) {
 	d := gen.Porto(gen.Config{NumTrajectories: 50, MinLen: 50, MaxLen: 100, Seed: 4})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Build(d, optsPPQS())
 	}
+	b.ReportMetric(float64(b.N)*float64(d.NumPoints())/b.Elapsed().Seconds(), "pts/s")
 }

@@ -3,8 +3,6 @@ package par
 import (
 	"context"
 	"runtime"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -65,43 +63,4 @@ func TestEachCtxCancelled(t *testing.T) {
 			t.Fatalf("workers=%d: %d bodies ran on a cancelled context", workers, ran.Load())
 		}
 	}
-}
-
-// TestForChunksContiguous: For's chunks are disjoint, contiguous and
-// cover [0, n), each worker index appears once, and n ≤ grain runs
-// inline as one chunk.
-func TestForChunksContiguous(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	for _, n := range []int{1, 7, 64, 65, 1000} {
-		for _, workers := range []int{1, 2, 3, 8} {
-			var mu sync.Mutex
-			type chunk struct{ w, lo, hi int }
-			var chunks []chunk
-			For(workers, n, 16, func(w, lo, hi int) {
-				mu.Lock()
-				chunks = append(chunks, chunk{w, lo, hi})
-				mu.Unlock()
-			})
-			sort.Slice(chunks, func(i, j int) bool { return chunks[i].lo < chunks[j].lo })
-			next := 0
-			seen := make(map[int]bool)
-			for _, c := range chunks {
-				if c.lo != next || c.hi <= c.lo {
-					t.Fatalf("n=%d workers=%d: chunks %v not contiguous", n, workers, chunks)
-				}
-				if seen[c.w] {
-					t.Fatalf("n=%d workers=%d: worker %d got two chunks", n, workers, c.w)
-				}
-				seen[c.w] = true
-				next = c.hi
-			}
-			if next != n {
-				t.Fatalf("n=%d workers=%d: chunks %v stop at %d", n, workers, chunks, next)
-			}
-			if n <= 16 && len(chunks) != 1 {
-				t.Fatalf("n=%d ≤ grain split into %d chunks", n, len(chunks))
-			}
-		}
-	}
-	For(4, 0, 0, func(int, int, int) { t.Fatal("body ran for n = 0") })
 }

@@ -434,9 +434,23 @@ func TestSlowFollowerNoGap(t *testing.T) {
 	}
 	defer follower.Close()
 	waitCaughtUp(t, primary, follower, 30*time.Second)
+	// Being caught up is not yet being pinned there: the shipper moves the
+	// follower's retention pin to its from_lsn only when the next poll
+	// arrives. Wait for two more polls after the catch-up — the first pins
+	// at the caught-up position, and the follower sends the second only
+	// after the first has returned — so the pin sits at NextRec before the
+	// stall. Otherwise it can stay at an older position and hold back
+	// every reclamation below.
+	polled := primary.shipper.Stats().StreamRequests
+	for deadline := time.Now().Add(30 * time.Second); primary.shipper.Stats().StreamRequests < polled+2; {
+		if time.Now().After(deadline) {
+			t.Fatal("follower stopped polling after catching up")
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	// Stall the follower, then run the primary far ahead and seal+reclaim.
-	ft.DropNext(1 << 30, nil)
+	ft.DropNext(1<<30, nil)
 	for _, col := range cols[half:] {
 		if err := primary.IngestColumn(col); err != nil {
 			t.Fatal(err)

@@ -62,9 +62,10 @@ type Options struct {
 	// nature and always answer exactly).
 	Raw *traj.Dataset
 	// Workers bounds the goroutines of batch probes, window segment scans,
-	// segment loading at Open and a compaction's chunk builds. 0 means
-	// runtime.NumCPU(); either way the pool is capped at GOMAXPROCS. 1
-	// runs each of them serially.
+	// segment loading at Open and a compaction's chunk builds. Each
+	// segment build runs on one goroutine, so this bounds every build
+	// goroutine of open and compaction. 0 means runtime.NumCPU(); either
+	// way the pool is capped at GOMAXPROCS. 1 runs each of them serially.
 	Workers int
 	// CacheBytes budgets the shared decoded-cell cache sitting in front
 	// of every sealed segment's compressed postings: repeated STRQ and

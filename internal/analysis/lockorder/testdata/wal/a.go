@@ -83,8 +83,7 @@ func (l *Log) branchRelease(skip bool) error {
 // sealLocked fsyncs under mu by design — the justified waiver keeps it
 // and its callers clean.
 //
-//ppqvet:allow lockorder fixture twin of rotateLocked: seal and swap must
-// be atomic under mu; rare and bounded.
+//ppqvet:allow lockorder fixture twin of rotateLocked: seal and swap must be atomic under mu; rare and bounded.
 func (l *Log) sealLocked() error {
 	return l.f.Sync()
 }

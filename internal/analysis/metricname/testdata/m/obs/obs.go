@@ -25,10 +25,10 @@ type Histogram struct{ sum float64 }
 
 type Registry struct{}
 
-func (r *Registry) Counter(name, help string) *Counter             { return &Counter{} }
+func (r *Registry) Counter(name, help string) *Counter                      { return &Counter{} }
 func (r *Registry) CounterVec(name, help string, labels ...string) *Counter { return &Counter{} }
-func (r *Registry) Gauge(name, help string) *Gauge                 { return &Gauge{} }
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {}
+func (r *Registry) Gauge(name, help string) *Gauge                          { return &Gauge{} }
+func (r *Registry) GaugeFunc(name, help string, fn func() float64)          {}
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 	return &Histogram{}
 }

@@ -103,19 +103,37 @@ func (r *BitReader) ReadBit() (uint, error) {
 	return uint(b), nil
 }
 
-// ReadBits returns the next n bits as the low bits of a uint64.
+// ReadBits returns the next n bits as the low bits of a uint64, most
+// significant first. n must be in [0, 64]. It mirrors WriteBits: the rest
+// of the current byte, then whole bytes, then the head of the next one.
+// A read past the end returns ErrShortStream and consumes nothing.
 func (r *BitReader) ReadBits(n int) (uint64, error) {
 	if n < 0 || n > 64 {
 		panic(fmt.Sprintf("codec: ReadBits n=%d", n))
 	}
-	var v uint64
-	for i := 0; i < n; i++ {
-		bit, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		v = v<<1 | uint64(bit)
+	if n > r.nbit-r.pos {
+		return 0, ErrShortStream
 	}
+	var v uint64
+	pos := r.pos
+	// Finish the partial byte.
+	if off := pos & 7; off != 0 && n > 0 {
+		take := min(8-off, n)
+		v = uint64(r.buf[pos>>3]>>uint(8-off-take)) & (1<<uint(take) - 1)
+		pos += take
+		n -= take
+	}
+	// Whole bytes.
+	for ; n >= 8; n -= 8 {
+		v = v<<8 | uint64(r.buf[pos>>3])
+		pos += 8
+	}
+	// The head of the next byte.
+	if n > 0 {
+		v = v<<uint(n) | uint64(r.buf[pos>>3]>>uint(8-n))
+		pos += n
+	}
+	r.pos = pos
 	return v, nil
 }
 

@@ -52,6 +52,48 @@ func TestBitWriterReset(t *testing.T) {
 	}
 }
 
+// TestReadBitsMatchesReadBit reads every width 0–64 at every bit offset
+// of a random buffer both ways: the byte-wise ReadBits must return what a
+// ReadBit loop assembles, and a read past the end must fail without
+// consuming anything.
+func TestReadBitsMatchesReadBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	buf := make([]byte, 12)
+	rng.Read(buf)
+	for nbits := 0; nbits <= len(buf)*8; nbits += 13 {
+		for off := 0; off < 16 && off <= nbits; off++ {
+			for width := 0; width <= 64; width++ {
+				fast, slow := NewBitReader(buf, nbits), NewBitReader(buf, nbits)
+				if _, err := fast.ReadBits(off); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < off; i++ {
+					slow.ReadBit()
+				}
+				got, err := fast.ReadBits(width)
+				var want uint64
+				var wantErr error
+				for i := 0; i < width && wantErr == nil; i++ {
+					var b uint
+					b, wantErr = slow.ReadBit()
+					want = want<<1 | uint64(b)
+				}
+				if wantErr != nil {
+					if err != ErrShortStream || fast.Remaining() != nbits-off {
+						t.Fatalf("nbits %d offset %d width %d: err %v, %d bits left, want ErrShortStream and %d",
+							nbits, off, width, err, fast.Remaining(), nbits-off)
+					}
+					continue
+				}
+				if err != nil || got != want || fast.Remaining() != slow.Remaining() {
+					t.Fatalf("nbits %d offset %d width %d: got %#x (%v, %d left), want %#x (%d left)",
+						nbits, off, width, got, err, fast.Remaining(), want, slow.Remaining())
+				}
+			}
+		}
+	}
+}
+
 func TestBitRoundTripProperty(t *testing.T) {
 	f := func(vals []uint16, widths []uint8) bool {
 		if len(vals) == 0 || len(widths) == 0 {

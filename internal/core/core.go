@@ -275,17 +275,23 @@ func (s *Summary) ReconstructPath(id traj.ID, from, l int) []geo.Point {
 	return tr.Recon[lo-tr.Start : hi-tr.Start]
 }
 
-// wordOf returns the codeword for an entry at the given tick, resolving
-// per-tick books in FixedWords mode. A missing book or an out-of-range
-// index (only a corrupt summary has either) is ErrBadFormat.
-func (s *Summary) wordOf(tick int, e PointEntry) (geo.Point, error) {
-	book := s.Book
+// bookAt returns the codebook the words stored at tick index: the tick's
+// own in FixedWords mode, the global one otherwise. Nil when there is none.
+func (s *Summary) bookAt(tick int) *quant.Codebook {
 	if s.Opts.FixedWords > 0 {
-		book = nil
 		if ts := s.Ticks[tick]; ts != nil {
-			book = ts.Book
+			return ts.Book
 		}
+		return nil
 	}
+	return s.Book
+}
+
+// wordOf returns the codeword for an entry at the given tick. A missing
+// book or an out-of-range index (only a corrupt summary has either) is
+// ErrBadFormat.
+func (s *Summary) wordOf(tick int, e PointEntry) (geo.Point, error) {
+	book := s.bookAt(tick)
 	if book == nil || e.Word < 0 || int(e.Word) >= book.Len() {
 		return geo.Point{}, fmt.Errorf("%w: codeword %d at tick %d outside its codebook", ErrBadFormat, e.Word, tick)
 	}

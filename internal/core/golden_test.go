@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -221,22 +222,41 @@ func TestGoldenSummaries(t *testing.T) {
 		writeGolden(t, fmt.Sprintf("testdata/golden-v%d", summaryVersion))
 	}
 	for _, dir := range goldenDirs(t) {
+		current := filepath.Base(dir) == fmt.Sprintf("golden-v%d", summaryVersion)
 		hashes := loadGolden(t, dir)
 		if len(hashes) != len(goldenSummaries()) {
 			t.Fatalf("%s records %d files, want %d", dir, len(hashes), len(goldenSummaries()))
 		}
 		for name, want := range hashes {
 			path := filepath.Join(dir, name+".ppqs")
-			f, err := os.Open(path)
+			blob, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := ReadSummary(f)
-			f.Close()
+			s, err := ReadSummary(bytes.NewReader(blob))
 			if err != nil {
 				t.Fatalf("%s: %v", path, err)
 			}
 			checkHashes(t, path, s, want)
+
+			// Rewriting gives the current format, which reads back to
+			// the same summary; a current-format file comes back byte
+			// for byte.
+			var buf bytes.Buffer
+			if _, err := s.WriteTo(&buf); err != nil {
+				t.Fatalf("%s: rewriting: %v", path, err)
+			}
+			if v := binary.LittleEndian.Uint16(buf.Bytes()[4:]); v != summaryVersion {
+				t.Fatalf("%s: rewritten as version %d", path, v)
+			}
+			back, err := ReadSummary(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatalf("%s: reading the rewrite: %v", path, err)
+			}
+			checkHashes(t, path+" rewritten", back, want)
+			if current && !bytes.Equal(buf.Bytes(), blob) {
+				t.Fatalf("%s: rewrite differs from the file", path)
+			}
 		}
 	}
 }

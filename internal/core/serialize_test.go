@@ -6,8 +6,11 @@ import (
 	"errors"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"ppqtraj/internal/cqc"
 	"ppqtraj/internal/gen"
 	"ppqtraj/internal/geo"
 	"ppqtraj/internal/partition"
@@ -100,31 +103,47 @@ func TestReadSummaryRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestReadSummaryRejectsWrongVersion: version 1 (the migration path) and
+// version 2 load; 0 and 3 do not.
 func TestReadSummaryRejectsWrongVersion(t *testing.T) {
-	d := gen.Porto(gen.Config{NumTrajectories: 3, MinLen: 20, MaxLen: 22, Seed: 6})
-	s := Build(d, DefaultOptions(partition.Spatial, 0.1))
-	var buf bytes.Buffer
-	if _, err := s.WriteTo(&buf); err != nil {
+	v1, err := os.ReadFile("testdata/golden-v1/spatial.ppqs")
+	if err != nil {
 		t.Fatal(err)
 	}
-	b := buf.Bytes()
-	b[4] = 0xFF // corrupt the version field
-	if _, err := ReadSummary(bytes.NewReader(b)); err == nil {
-		t.Fatal("expected error for unsupported version")
+	d := gen.Porto(gen.Config{NumTrajectories: 3, MinLen: 20, MaxLen: 22, Seed: 6})
+	var buf bytes.Buffer
+	if _, err := Build(d, DefaultOptions(partition.Spatial, 0.1)).WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, blob := range [][]byte{v1, buf.Bytes()} {
+		ver := binary.LittleEndian.Uint16(blob[4:])
+		if _, err := ReadSummary(bytes.NewReader(blob)); err != nil {
+			t.Fatalf("version %d: %v", ver, err)
+		}
+		for _, bad := range []uint16{0, 3} {
+			b := bytes.Clone(blob)
+			binary.LittleEndian.PutUint16(b[4:], bad)
+			if _, err := ReadSummary(bytes.NewReader(b)); !errors.Is(err, ErrBadFormat) {
+				t.Fatalf("version %d blob relabelled %d: err = %v, want ErrBadFormat", ver, bad, err)
+			}
+		}
 	}
 }
 
-// TestReadSummaryRejectsBadHeaders feeds crafted blobs whose header or
-// counts are out of range: each must fail with an error, never panic,
-// allocate by the stored count, or load silently.
+// TestReadSummaryRejectsBadHeaders feeds crafted blobs whose header,
+// counts or trajectory bit streams are out of range: each must fail with
+// an error, never panic, allocate by the stored count, or load silently.
 func TestReadSummaryRejectsBadHeaders(t *testing.T) {
-	// One empty trajectory, so the blob ends with its entry count.
+	// One empty trajectory, so the blob ends with its entry and run
+	// counts.
 	base := func() *Summary {
-		return &Summary{
+		s := &Summary{
 			Opts:  DefaultOptions(partition.Spatial, 0.1),
 			Ticks: map[int]*TickSummary{},
 			Trajs: map[traj.ID]*TrajSummary{7: {}},
 		}
+		s.Coder = cqc.NewCoder(s.Opts.Epsilon1, s.Opts.GS)
+		return s
 	}
 	encode := func(t *testing.T, s *Summary) []byte {
 		t.Helper()
@@ -145,31 +164,75 @@ func TestReadSummaryRejectsBadHeaders(t *testing.T) {
 			return encode(t, s)
 		}
 	}
-	// entry gives trajectory 7 one point at tick 0 coded against a
-	// two-word global codebook, then applies mut.
-	entry := func(mut func(*Summary)) func(*testing.T) []byte {
+	// entries gives trajectory 7 one point per partition label in parts,
+	// from tick 0, coded against a three-word global codebook, then
+	// applies mut.
+	entries := func(parts []int32, mut func(*Summary)) func(*testing.T) []byte {
 		return func(t *testing.T) []byte {
 			s := base()
 			s.Book = twoWords()
-			s.Trajs[7].Entries = []PointEntry{{Word: 1}}
+			s.Book.Add(geo.Pt(0.25, -0.5))
+			for _, p := range parts {
+				s.maxLabel = max(s.maxLabel, int(p))
+				s.Trajs[7].Entries = append(s.Trajs[7].Entries,
+					PointEntry{Part: p, Word: 1, CQC: cqc.Code{Len: uint8(s.Coder.CodeBits())}})
+			}
 			mut(s)
 			return encode(t, s)
 		}
 	}
-	if _, err := ReadSummary(bytes.NewReader(entry(func(*Summary) {})(t))); err != nil {
-		t.Fatalf("valid one-entry blob: %v", err)
-	}
-	// tailEntry re-encodes that entry's partition and codeword as raw
-	// uvarints, past what int32 holds. The entry is the blob's last four
-	// bytes: part, word, CQC length and CQC bits, one byte each.
-	tailEntry := func(part, word uint64) func(*testing.T) []byte {
+	entry := func(mut func(*Summary)) func(*testing.T) []byte { return entries([]int32{0}, mut) }
+	// stream edits bit k (MSB first) of the last trajectory's bit stream,
+	// which ends the blob and is nbytes long.
+	stream := func(parts []int32, nbytes, k int) func(*testing.T) []byte {
 		return func(t *testing.T) []byte {
-			b := entry(func(s *Summary) { s.Trajs[7].Entries[0].Word = 0 })(t)
+			b := entries(parts, func(*Summary) {})(t)
+			b[len(b)-nbytes+k/8] ^= 0x80 >> (k % 8)
+			return b
+		}
+	}
+	// Label, run length and codeword fields of a one- or two-point
+	// stream, then CQC codes and the pad.
+	one, two := []int32{0}, []int32{0, 1}
+	cqcBits := base().Coder.CodeBits()
+	oneBytes := (1 + 1 + 2 + cqcBits + 7) / 8       // label, run, word, CQC
+	twoBytes := (2*(1+1) + 2*2 + 2*cqcBits + 7) / 8 // two runs, two words, two codes
+	for _, c := range []struct {
+		parts []int32
+		n     int
+	}{{one, oneBytes}, {two, twoBytes}, {[]int32{0, 0}, (1 + 1 + 2*2 + 2*cqcBits + 7) / 8}} {
+		if _, err := ReadSummary(bytes.NewReader(entries(c.parts, func(*Summary) {})(t))); err != nil {
+			t.Fatalf("valid blob with parts %v: %v", c.parts, err)
+		}
+	}
+	// v1 edits the last entry of the version-1 one-entry fixture, whose
+	// four fields are its last four bytes: partition and codeword are
+	// re-encoded as raw varints, past what int32 holds.
+	v1 := func(part, word uint64) func(*testing.T) []byte {
+		return func(t *testing.T) []byte {
+			b, err := os.ReadFile("testdata/golden-v1/one-entry.ppqs")
+			if err != nil {
+				t.Fatal(err)
+			}
 			b = binary.AppendUvarint(b[:len(b)-4], part)
 			b = binary.AppendUvarint(b, word)
 			return append(b, 0, 0)
 		}
 	}
+	// swap replaces the first occurrence of old in a valid blob.
+	swap := func(blob func(*testing.T) []byte, old, new []byte) func(*testing.T) []byte {
+		return func(t *testing.T) []byte {
+			b := blob(t)
+			i := bytes.Index(b, old)
+			if i < 0 {
+				t.Fatalf("% x not in the blob", old)
+			}
+			return append(append(append([]byte(nil), b[:i]...), new...), b[i+len(old):]...)
+		}
+	}
+	// noPredictionAt is the offset of the NoPrediction flag: magic,
+	// version, K (one byte), ε₁, ε_p and the mode byte precede it.
+	const noPredictionAt = 4 + 2 + 1 + 8 + 8 + 1
 	cases := []struct {
 		name string
 		blob func(*testing.T) []byte
@@ -190,19 +253,53 @@ func TestReadSummaryRejectsBadHeaders(t *testing.T) {
 		// error, and it is ErrBadFormat too.
 		{name: "huge entry count", blob: func(t *testing.T) []byte {
 			b := encode(t, base())
-			return binary.AppendUvarint(b[:len(b)-1], 1<<61)
+			b = binary.AppendUvarint(b[:len(b)-2], 1<<61)
+			return binary.AppendUvarint(b, 1)
 		}},
 		{name: "codeword past the global book", blob: entry(func(s *Summary) {
 			s.Trajs[7].Entries[0].Word = int32(s.Book.Len())
 		})},
 		{name: "codeword past the tick book", blob: entry(func(s *Summary) {
 			s.Opts.FixedWords = 2
-			s.Ticks[0] = &TickSummary{Coeffs: map[int]predict.Coefficients{}, Book: twoWords()}
-			s.Trajs[7].Entries[0].Word = 2
+			s.Ticks[0] = &TickSummary{Coeffs: map[int]predict.Coefficients{}, Book: s.Book}
+			s.Book = nil
+			s.Trajs[7].Entries[0].Word = 3
 		})},
-		{name: "missing tick book", blob: entry(func(s *Summary) { s.Opts.FixedWords = 2 })},
-		{name: "partition overflows int32", blob: tailEntry(1<<32, 0)},
-		{name: "codeword overflows int32", blob: tailEntry(0, 1<<32)},
+		{name: "missing tick book", blob: entry(func(s *Summary) {
+			s.Opts.FixedWords = 2
+			s.Trajs[7].Entries[0].Word = 0 // no book: the word takes 0 bits
+		})},
+		{name: "partition overflows int32", blob: v1(1<<32, 0)},
+		{name: "codeword overflows int32", blob: v1(0, 1<<32)},
+		{name: "max label overflows int32", blob: swap(entry(func(s *Summary) { s.maxLabel = math.MaxInt32 }),
+			binary.AppendUvarint(nil, math.MaxInt32), binary.AppendUvarint(nil, 1<<32))},
+		{name: "label past the max label", blob: stream(one, oneBytes, 0)},
+		{name: "run past the trajectory", blob: stream(one, oneBytes, 1)},
+		{name: "runs short of the trajectory", blob: stream([]int32{0, 0}, (1+1+2*2+2*cqcBits+7)/8, 1)},
+		{name: "adjacent runs share a label", blob: stream(two, twoBytes, 2)},
+		{name: "non-zero pad bits", blob: stream(one, oneBytes, 8*oneBytes-1)},
+		{name: "trailing byte", blob: func(t *testing.T) []byte { return append(entry(func(*Summary) {})(t), 0) }},
+		{name: "non-minimal varint", blob: func(t *testing.T) []byte {
+			b := encode(t, base())
+			return append(b[:len(b)-1], 0x80, 0) // the run count 0 in two bytes
+		}},
+		{name: "flag byte 2", blob: func(t *testing.T) []byte {
+			b := encode(t, base())
+			b[noPredictionAt] = 2
+			return b
+		}},
+		{name: "ticks out of order", blob: func(t *testing.T) []byte {
+			s := base()
+			s.Ticks[3] = &TickSummary{Coeffs: map[int]predict.Coefficients{}}
+			s.Ticks[4] = &TickSummary{Coeffs: map[int]predict.Coefficients{}}
+			b := encode(t, s)
+			i := bytes.Index(b, []byte{2, 3, 0, 0, 4, 0, 0}) // count, then (tick, no labels, no book) twice
+			if i < 0 {
+				t.Fatal("tick section not found")
+			}
+			b[i+1], b[i+4] = 4, 3
+			return b
+		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -247,7 +344,9 @@ func twoWords() *quant.Codebook {
 
 // FuzzReadSummary feeds arbitrary bytes to ReadSummary, which the server
 // runs on every segment file it opens: a corrupt file must come back as
-// an error, never a panic.
+// an error, never a panic. A version-2 blob that loads must be the
+// canonical encoding of what it loaded: WriteTo gives it back byte for
+// byte.
 func FuzzReadSummary(f *testing.F) {
 	d := gen.Porto(gen.Config{NumTrajectories: 4, MinLen: 8, MaxLen: 12, Seed: 9})
 	for _, opts := range []Options{
@@ -260,24 +359,109 @@ func FuzzReadSummary(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
+	golden, err := filepath.Glob("testdata/golden-v*/*.ppqs")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, path := range golden {
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
 	f.Fuzz(func(t *testing.T, blob []byte) {
-		_, _ = ReadSummary(bytes.NewReader(blob)) // any error is fine; a panic is not
+		s, err := ReadSummary(bytes.NewReader(blob))
+		if err != nil || binary.LittleEndian.Uint16(blob[4:]) != summaryVersion {
+			return // any error is fine; a panic is not
+		}
+		var buf bytes.Buffer
+		if _, err := s.WriteTo(&buf); err != nil {
+			t.Fatalf("re-encoding an accepted blob: %v", err)
+		}
+		if !bytes.Equal(buf.Bytes(), blob) {
+			t.Fatalf("accepted blob re-encodes differently:\n in  % x\n out % x", blob, buf.Bytes())
+		}
 	})
 }
 
+// TestReadSummaryOnlyCanonical flips, one at a time, every bit of the
+// header and of the last trajectories of the version-2 golden files:
+// whatever still loads must re-encode to the flipped bytes, so no two
+// encodings of one summary both load. (The middle is skipped for time:
+// each load rebuilds the CQC tables.)
+func TestReadSummaryOnlyCanonical(t *testing.T) {
+	const head, tail = 64, 128
+	paths, err := filepath.Glob("testdata/golden-v2/*.ppqs")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no version-2 fixtures (err %v)", err)
+	}
+	accepted := 0
+	for _, path := range paths {
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 8*len(blob); k++ {
+			if k == 8*head && len(blob) > head+tail {
+				k = 8 * (len(blob) - tail)
+			}
+			b := bytes.Clone(blob)
+			b[k/8] ^= 0x80 >> (k % 8)
+			s, err := ReadSummary(bytes.NewReader(b))
+			if err != nil {
+				continue
+			}
+			accepted++
+			var buf bytes.Buffer
+			if _, err := s.WriteTo(&buf); err != nil {
+				t.Fatalf("%s bit %d: re-encoding: %v", path, k, err)
+			}
+			if !bytes.Equal(buf.Bytes(), b) {
+				t.Fatalf("%s with bit %d flipped loads but re-encodes differently", path, k)
+			}
+		}
+	}
+	t.Logf("%d single-bit variants load (payload bits: codewords, CQC codes, floats)", accepted)
+}
+
+// TestSerializeSizeReasonable: the file is the paper's accounting
+// (SizeBytes) plus the framing the accounting leaves out, which is
+// bounded per summary, per tick, per coefficient set and per trajectory:
+//   - per summary: magic, version, options, build statistics and the
+//     section counts, at most 96 bytes;
+//   - per tick: its tick, partition count and codebook length varints,
+//     at most 4 bytes;
+//   - per coefficient set: its label and count varints, plus a third
+//     varint byte for a coefficient of magnitude 8 or more, at most 3
+//     bytes here (K = 3 and such coefficients are rare);
+//   - per trajectory: ID, start, point and run count varints and the pad
+//     byte, less the 4 bytes the accounting gives its start tick, at
+//     most 8 bytes. Runs cost label + BitsFor(n) bits against the
+//     accounting's label + 16, so they add nothing.
 func TestSerializeSizeReasonable(t *testing.T) {
-	// The wire size should be in the same ballpark as the accounted
-	// summary size (wire uses varints and full floats, so allow slack).
+	const perSummary, perTick, perCoeffSet, perTraj = 96, 4, 3, 8
 	d := gen.Porto(gen.Config{NumTrajectories: 20, MinLen: 40, MaxLen: 60, Seed: 7})
-	s := Build(d, DefaultOptions(partition.Spatial, 0.1))
-	var buf bytes.Buffer
-	if _, err := s.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() > 8*s.SizeBytes() {
-		t.Fatalf("wire size %d ≫ accounted size %d", buf.Len(), s.SizeBytes())
-	}
-	if buf.Len() >= d.RawBytes() {
-		t.Fatalf("wire size %d should still beat raw %d", buf.Len(), d.RawBytes())
+	for name, opts := range map[string]Options{
+		"spatial":     DefaultOptions(partition.Spatial, 0.1),
+		"autocorr":    DefaultOptions(partition.Autocorr, 0.2),
+		"fixed-words": {K: 3, Mode: partition.Spatial, EpsilonP: 0.1, FixedWords: 8},
+	} {
+		s := Build(d, opts)
+		var buf bytes.Buffer
+		if _, err := s.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		coeffSets := 0
+		for _, ts := range s.Ticks {
+			coeffSets += len(ts.Coeffs)
+		}
+		bound := s.SizeBytes() + perSummary + perTick*len(s.Ticks) + perCoeffSet*coeffSets + perTraj*len(s.Trajs)
+		if buf.Len() > bound {
+			t.Fatalf("%s: file %d bytes > accounted %d + framing = %d", name, buf.Len(), s.SizeBytes(), bound)
+		}
+		if buf.Len() >= d.RawBytes() {
+			t.Fatalf("%s: file %d bytes should still beat raw %d", name, buf.Len(), d.RawBytes())
+		}
 	}
 }

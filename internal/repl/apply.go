@@ -219,9 +219,9 @@ type ApplierStats struct {
 	Connected      bool          `json:"connected"`
 	LastContactAge time.Duration `json:"last_contact_age_ns"`
 	AppliedRecords int64         `json:"applied_records"`
-	AppliedPoints  int64 `json:"applied_points"`
-	Reconnects     int64 `json:"reconnects"`
-	CorruptBatches int64 `json:"corrupt_batches"`
+	AppliedPoints  int64         `json:"applied_points"`
+	Reconnects     int64         `json:"reconnects"`
+	CorruptBatches int64         `json:"corrupt_batches"`
 }
 
 // Stats snapshots the applier's counters and connection state.

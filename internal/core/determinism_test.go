@@ -47,6 +47,7 @@ func TestBuildBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 			got := serializedBuild(t, d, o)
 			if want == nil {
 				want = got
+				roundTrip(t, Build(d, o))
 				continue
 			}
 			if !bytes.Equal(want, got) {

@@ -337,6 +337,24 @@ func bookLen(b *quant.Codebook) int {
 	return b.Len()
 }
 
+// wordWidth memoizes the size and index width of the codebook a run of
+// ticks indexes: one global book in incremental mode, one per tick in
+// FixedWords mode.
+type wordWidth struct {
+	book        *quant.Codebook
+	size, width int
+}
+
+// at returns the size and index width of the codebook of words stored at
+// tick (0 and 0 when it has none).
+func (ww *wordWidth) at(s *Summary, tick int) (size, width int) {
+	if b := s.bookAt(tick); b != ww.book {
+		ww.book, ww.size = b, bookLen(b)
+		ww.width = codec.BitsFor(ww.size)
+	}
+	return ww.size, ww.width
+}
+
 // cqcBits is the width of every stored CQC code: CodeBits of the
 // summary's coder, 0 without CQC.
 func (s *Summary) cqcBits() int {
@@ -353,7 +371,7 @@ func (s *Summary) cqcBits() int {
 func (s *Summary) packEntries(w *codec.BitWriter, start int, entries []PointEntry) (int, error) {
 	w.Reset()
 	if len(entries) > 0 && s.Opts.UseCQC != (s.Coder != nil) {
-		return 0, fmt.Errorf("UseCQC is %v but the summary has coder %v", s.Opts.UseCQC, s.Coder)
+		return 0, errors.New("the summary's UseCQC option and CQC coder disagree")
 	}
 	labelBits, runBits := codec.BitsFor(s.maxLabel+1), codec.BitsFor(len(entries))
 	runs := 0
@@ -371,8 +389,9 @@ func (s *Summary) packEntries(w *codec.BitWriter, start int, entries []PointEntr
 		runs++
 		i = j
 	}
+	var words wordWidth
 	for i, e := range entries {
-		width := codec.BitsFor(bookLen(s.bookAt(start + i)))
+		_, width := words.at(s, start+i)
 		if e.Word < 0 || uint64(e.Word)>>width != 0 {
 			return 0, fmt.Errorf("codeword %d does not fit %d bits at tick %d", e.Word, width, start+i)
 		}
@@ -691,8 +710,10 @@ func (rd *reader) trajsV2(s *Summary, nTraj uint64) error {
 			if n > uint64(len(s.Ticks)) {
 				return fmt.Errorf("%w: trajectory %d: %d points over %d ticks", ErrBadFormat, id, n, len(s.Ticks))
 			}
+			var words wordWidth
 			for t := first; t < first+int(n); t++ {
-				total += codec.BitsFor(bookLen(s.bookAt(t)))
+				_, width := words.at(s, t)
+				total += width
 			}
 		} else if n > 0 {
 			if bookLen(s.Book) == 0 {
@@ -724,9 +745,10 @@ func (rd *reader) trajsV2(s *Summary, nTraj uint64) error {
 		if pos != len(entries) {
 			return fmt.Errorf("%w: trajectory %d: runs cover %d of %d points", ErrBadFormat, id, pos, n)
 		}
+		var words wordWidth
 		for k := range entries {
-			size := bookLen(s.bookAt(first + k))
-			word, _ := br.ReadBits(codec.BitsFor(size))
+			size, width := words.at(s, first+k)
+			word, _ := br.ReadBits(width)
 			if word >= uint64(size) {
 				return fmt.Errorf("%w: trajectory %d: codeword %d outside a %d-word book at tick %d", ErrBadFormat, id, word, size, first+k)
 			}

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"ppqtraj/internal/cqc"
@@ -33,6 +34,17 @@ func roundTrip(t *testing.T, s *Summary) *Summary {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The stored codes and the decoder-rebuilt reconstructions must be
+	// bit-identical to the original build's.
+	if len(got.Trajs) != len(s.Trajs) {
+		t.Fatalf("%d trajectories back, want %d", len(got.Trajs), len(s.Trajs))
+	}
+	for id, a := range s.Trajs {
+		b := got.Trajs[id]
+		if b == nil || a.Start != b.Start || !slices.Equal(a.Entries, b.Entries) || !slices.Equal(a.Recon, b.Recon) {
+			t.Fatalf("trajectory %d differs after a round trip", id)
+		}
+	}
 	return got
 }
 
@@ -42,19 +54,6 @@ func TestSerializeRoundTripPPQS(t *testing.T) {
 	got := roundTrip(t, s)
 	if got.NumPoints != s.NumPoints {
 		t.Fatalf("NumPoints %d vs %d", got.NumPoints, s.NumPoints)
-	}
-	// The loaded summary's decoder-rebuilt reconstructions must be
-	// bit-identical to the original build's.
-	for _, id := range s.TrajIDs() {
-		a, b := s.Trajs[id], got.Trajs[id]
-		if b == nil || a.Start != b.Start || len(a.Recon) != len(b.Recon) {
-			t.Fatalf("trajectory %d shape mismatch", id)
-		}
-		for i := range a.Recon {
-			if a.Recon[i] != b.Recon[i] {
-				t.Fatalf("trajectory %d point %d: %v vs %v", id, i, a.Recon[i], b.Recon[i])
-			}
-		}
 	}
 	if got.SizeBytes() != s.SizeBytes() {
 		t.Fatalf("SizeBytes %d vs %d", got.SizeBytes(), s.SizeBytes())
@@ -70,16 +69,7 @@ func TestSerializeRoundTripVariants(t *testing.T) {
 		"fixed-words": {K: 3, Mode: partition.Spatial, EpsilonP: 0.1, FixedWords: 8},
 	}
 	for name, opts := range cases {
-		s := Build(d, opts)
-		got := roundTrip(t, s)
-		for _, id := range s.TrajIDs() {
-			a, b := s.Trajs[id], got.Trajs[id]
-			for i := range a.Recon {
-				if a.Recon[i] != b.Recon[i] {
-					t.Fatalf("%s: trajectory %d point %d mismatch", name, id, i)
-				}
-			}
-		}
+		t.Run(name, func(t *testing.T) { roundTrip(t, Build(d, opts)) })
 	}
 }
 

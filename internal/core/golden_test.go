@@ -224,14 +224,17 @@ func TestGoldenSummaries(t *testing.T) {
 	for _, dir := range goldenDirs(t) {
 		current := filepath.Base(dir) == fmt.Sprintf("golden-v%d", summaryVersion)
 		hashes := loadGolden(t, dir)
-		if len(hashes) != len(goldenSummaries()) {
-			t.Fatalf("%s records %d files, want %d", dir, len(hashes), len(goldenSummaries()))
+		if len(hashes) == 0 {
+			t.Fatalf("%s records no files", dir)
 		}
 		for name, want := range hashes {
 			path := filepath.Join(dir, name+".ppqs")
 			blob, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if len(blob) < 6 || filepath.Base(dir) != fmt.Sprintf("golden-v%d", binary.LittleEndian.Uint16(blob[4:])) {
+				t.Fatalf("%s is not a summary of its directory's version", path)
 			}
 			s, err := ReadSummary(bytes.NewReader(blob))
 			if err != nil {

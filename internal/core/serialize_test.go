@@ -181,18 +181,16 @@ func TestReadSummaryRejectsBadHeaders(t *testing.T) {
 			return b
 		}
 	}
-	// Label, run length and codeword fields of a one- or two-point
-	// stream, then CQC codes and the pad.
-	one, two := []int32{0}, []int32{0, 1}
+	// Stream lengths: a label and a run-length field per run (1 bit each
+	// here), a 2-bit word and a CQC code per point, then the pad.
+	one, two, same := []int32{0}, []int32{0, 1}, []int32{0, 0}
 	cqcBits := base().Coder.CodeBits()
-	oneBytes := (1 + 1 + 2 + cqcBits + 7) / 8       // label, run, word, CQC
-	twoBytes := (2*(1+1) + 2*2 + 2*cqcBits + 7) / 8 // two runs, two words, two codes
-	for _, c := range []struct {
-		parts []int32
-		n     int
-	}{{one, oneBytes}, {two, twoBytes}, {[]int32{0, 0}, (1 + 1 + 2*2 + 2*cqcBits + 7) / 8}} {
-		if _, err := ReadSummary(bytes.NewReader(entries(c.parts, func(*Summary) {})(t))); err != nil {
-			t.Fatalf("valid blob with parts %v: %v", c.parts, err)
+	oneBytes := (1 + 1 + 2 + cqcBits + 7) / 8
+	twoBytes := (2*(1+1) + 2*(2+cqcBits) + 7) / 8 // two runs
+	sameBytes := (1 + 1 + 2*(2+cqcBits) + 7) / 8  // one run
+	for _, parts := range [][]int32{one, two, same} {
+		if _, err := ReadSummary(bytes.NewReader(entries(parts, func(*Summary) {})(t))); err != nil {
+			t.Fatalf("valid blob with parts %v: %v", parts, err)
 		}
 	}
 	// v1 edits the last entry of the version-1 one-entry fixture, whose
@@ -265,7 +263,7 @@ func TestReadSummaryRejectsBadHeaders(t *testing.T) {
 			binary.AppendUvarint(nil, math.MaxInt32), binary.AppendUvarint(nil, 1<<32))},
 		{name: "label past the max label", blob: stream(one, oneBytes, 0)},
 		{name: "run past the trajectory", blob: stream(one, oneBytes, 1)},
-		{name: "runs short of the trajectory", blob: stream([]int32{0, 0}, (1+1+2*2+2*cqcBits+7)/8, 1)},
+		{name: "runs short of the trajectory", blob: stream(same, sameBytes, 1)},
 		{name: "adjacent runs share a label", blob: stream(two, twoBytes, 2)},
 		{name: "non-zero pad bits", blob: stream(one, oneBytes, 8*oneBytes-1)},
 		{name: "trailing byte", blob: func(t *testing.T) []byte { return append(entry(func(*Summary) {})(t), 0) }},

@@ -337,24 +337,6 @@ func bookLen(b *quant.Codebook) int {
 	return b.Len()
 }
 
-// wordWidth memoizes the size and index width of the codebook a run of
-// ticks indexes: one global book in incremental mode, one per tick in
-// FixedWords mode.
-type wordWidth struct {
-	book        *quant.Codebook
-	size, width int
-}
-
-// at returns the size and index width of the codebook of words stored at
-// tick (0 and 0 when it has none).
-func (ww *wordWidth) at(s *Summary, tick int) (size, width int) {
-	if b := s.bookAt(tick); b != ww.book {
-		ww.book, ww.size = b, bookLen(b)
-		ww.width = codec.BitsFor(ww.size)
-	}
-	return ww.size, ww.width
-}
-
 // cqcBits is the width of every stored CQC code: CodeBits of the
 // summary's coder, 0 without CQC.
 func (s *Summary) cqcBits() int {
@@ -389,15 +371,17 @@ func (s *Summary) packEntries(w *codec.BitWriter, start int, entries []PointEntr
 		runs++
 		i = j
 	}
-	var words wordWidth
+	width := codec.BitsFor(bookLen(s.Book))
 	for i, e := range entries {
-		_, width := words.at(s, start+i)
+		if s.Opts.FixedWords > 0 {
+			width = codec.BitsFor(bookLen(s.bookAt(start + i)))
+		}
 		if e.Word < 0 || uint64(e.Word)>>width != 0 {
 			return 0, fmt.Errorf("codeword %d does not fit %d bits at tick %d", e.Word, width, start+i)
 		}
 		w.WriteBits(uint64(e.Word), width)
 	}
-	width := s.cqcBits()
+	width = s.cqcBits()
 	for i, e := range entries {
 		if int(e.CQC.Len) != width || e.CQC.Bits>>width != 0 {
 			return 0, fmt.Errorf("CQC code %v at tick %d is not %d bits", e.CQC, start+i, width)
@@ -710,10 +694,8 @@ func (rd *reader) trajsV2(s *Summary, nTraj uint64) error {
 			if n > uint64(len(s.Ticks)) {
 				return fmt.Errorf("%w: trajectory %d: %d points over %d ticks", ErrBadFormat, id, n, len(s.Ticks))
 			}
-			var words wordWidth
 			for t := first; t < first+int(n); t++ {
-				_, width := words.at(s, t)
-				total += width
+				total += codec.BitsFor(bookLen(s.bookAt(t)))
 			}
 		} else if n > 0 {
 			if bookLen(s.Book) == 0 {
@@ -745,9 +727,12 @@ func (rd *reader) trajsV2(s *Summary, nTraj uint64) error {
 		if pos != len(entries) {
 			return fmt.Errorf("%w: trajectory %d: runs cover %d of %d points", ErrBadFormat, id, pos, n)
 		}
-		var words wordWidth
+		size, width := bookLen(s.Book), codec.BitsFor(bookLen(s.Book))
 		for k := range entries {
-			size, width := words.at(s, first+k)
+			if s.Opts.FixedWords > 0 {
+				size = bookLen(s.bookAt(first + k))
+				width = codec.BitsFor(size)
+			}
 			word, _ := br.ReadBits(width)
 			if word >= uint64(size) {
 				return fmt.Errorf("%w: trajectory %d: codeword %d outside a %d-word book at tick %d", ErrBadFormat, id, word, size, first+k)

@@ -193,19 +193,39 @@ func TestReadSummaryRejectsBadHeaders(t *testing.T) {
 			t.Fatalf("valid blob with parts %v: %v", parts, err)
 		}
 	}
-	// v1 edits the last entry of the version-1 one-entry fixture, whose
-	// four fields are its last four bytes: partition and codeword are
-	// re-encoded as raw varints, past what int32 holds.
-	v1 := func(part, word uint64) func(*testing.T) []byte {
+	// noPredictionAt is the offset of the NoPrediction flag: magic,
+	// version, K (one byte), ε₁, ε_p and the mode byte precede it. The
+	// UseCQC flag and g_s come between it and FixedWords.
+	const noPredictionAt = 4 + 2 + 1 + 8 + 8 + 1
+	const fixedWordsAt = noPredictionAt + 1 + 1 + 8
+	// The version-1 one-entry fixture feeds the v1 decoder's cases. After
+	// FixedWords come two more option varints, the seed, two statistics
+	// varints and two floats, then the global codebook; the blob ends with
+	// an empty tick section (len-9), the trajectory count, ID, start and
+	// entry count (len-5), and the entry's four one-byte fields: partition,
+	// codeword (len-3), CQC length and CQC bits.
+	const v1BookAt = fixedWordsAt + 1 + 2 + 8 + 2 + 16
+	v1 := func(edit func([]byte) []byte) func(*testing.T) []byte {
 		return func(t *testing.T) []byte {
 			b, err := os.ReadFile("testdata/golden-v1/one-entry.ppqs")
 			if err != nil {
 				t.Fatal(err)
 			}
+			return edit(b)
+		}
+	}
+	// v1Entry re-encodes the entry's partition and codeword as raw
+	// varints.
+	v1Entry := func(part, word uint64) func(*testing.T) []byte {
+		return v1(func(b []byte) []byte {
+			code := bytes.Clone(b[len(b)-2:])
 			b = binary.AppendUvarint(b[:len(b)-4], part)
 			b = binary.AppendUvarint(b, word)
-			return append(b, 0, 0)
-		}
+			return append(b, code...)
+		})
+	}
+	if _, err := ReadSummary(bytes.NewReader(v1(func(b []byte) []byte { return b })(t))); err != nil {
+		t.Fatalf("unmodified version-1 blob: %v", err)
 	}
 	// swap replaces the first occurrence of old in a valid blob.
 	swap := func(blob func(*testing.T) []byte, old, new []byte) func(*testing.T) []byte {
@@ -218,9 +238,6 @@ func TestReadSummaryRejectsBadHeaders(t *testing.T) {
 			return append(append(append([]byte(nil), b[:i]...), new...), b[i+len(old):]...)
 		}
 	}
-	// noPredictionAt is the offset of the NoPrediction flag: magic,
-	// version, K (one byte), ε₁, ε_p and the mode byte precede it.
-	const noPredictionAt = 4 + 2 + 1 + 8 + 8 + 1
 	cases := []struct {
 		name string
 		blob func(*testing.T) []byte
@@ -237,13 +254,20 @@ func TestReadSummaryRejectsBadHeaders(t *testing.T) {
 			s.Ticks[0] = &TickSummary{Coeffs: map[int]predict.Coefficients{0: make(predict.Coefficients, s.Opts.K+1)}}
 			return encode(t, s)
 		}},
-		// The count runs past the end of the blob: the short read is the
-		// error, and it is ErrBadFormat too.
+		// The count is past maxTrajPoints: it is rejected before anything
+		// is sized by it.
 		{name: "huge entry count", blob: func(t *testing.T) []byte {
 			b := encode(t, base())
 			b = binary.AppendUvarint(b[:len(b)-2], 1<<61)
 			return binary.AppendUvarint(b, 1)
 		}},
+		// Version 1 preallocates at most maxEntryPrealloc entries: the
+		// count runs past the end of the blob, and the short read is the
+		// error.
+		{name: "huge entry count (v1)", blob: v1(func(b []byte) []byte {
+			e := bytes.Clone(b[len(b)-4:])
+			return append(binary.AppendUvarint(b[:len(b)-5], 1<<61), e...)
+		})},
 		{name: "codeword past the global book", blob: entry(func(s *Summary) {
 			s.Trajs[7].Entries[0].Word = int32(s.Book.Len())
 		})},
@@ -257,8 +281,26 @@ func TestReadSummaryRejectsBadHeaders(t *testing.T) {
 			s.Opts.FixedWords = 2
 			s.Trajs[7].Entries[0].Word = 0 // no book: the word takes 0 bits
 		})},
-		{name: "partition overflows int32", blob: v1(1<<32, 0)},
-		{name: "codeword overflows int32", blob: v1(0, 1<<32)},
+		// Version 1 stores words unchecked: the decoder's codebook lookup
+		// (wordOf) rejects them.
+		{name: "codeword past the global book (v1)", blob: v1Entry(0, 2)},
+		{name: "codeword past the tick book (v1)", blob: v1(func(b []byte) []byte {
+			book := bytes.Clone(b[v1BookAt : len(b)-9])
+			tail := bytes.Clone(b[len(b)-8:])
+			b = append(b[:v1BookAt], 0) // no global book
+			b = append(b, 1, 0, 0)      // one tick: tick 0, no coefficients
+			b = append(b, book...)      // and the two-word book
+			b = append(b, tail...)
+			b[fixedWordsAt] = 2
+			b[len(b)-3] = 2
+			return b
+		})},
+		{name: "missing tick book (v1)", blob: v1(func(b []byte) []byte {
+			b[fixedWordsAt] = 2
+			return b
+		})},
+		{name: "partition overflows int32", blob: v1Entry(1<<32, 0)},
+		{name: "codeword overflows int32", blob: v1Entry(0, 1<<32)},
 		{name: "max label overflows int32", blob: swap(entry(func(s *Summary) { s.maxLabel = math.MaxInt32 }),
 			binary.AppendUvarint(nil, math.MaxInt32), binary.AppendUvarint(nil, 1<<32))},
 		{name: "label past the max label", blob: stream(one, oneBytes, 0)},
@@ -302,23 +344,29 @@ func TestReadSummaryRejectsBadHeaders(t *testing.T) {
 	}
 }
 
-// TestReadSummaryTruncationIsBadFormat cuts a real summary at every
-// length short of the whole: each prefix must fail as ErrBadFormat, with
-// the short read still visible underneath.
+// TestReadSummaryTruncationIsBadFormat cuts a real summary of each
+// version at every length short of the whole: each prefix must fail as
+// ErrBadFormat, with the short read still visible underneath.
 func TestReadSummaryTruncationIsBadFormat(t *testing.T) {
 	d := gen.Porto(gen.Config{NumTrajectories: 3, MinLen: 10, MaxLen: 14, Seed: 8})
 	var buf bytes.Buffer
 	if _, err := Build(d, DefaultOptions(partition.Spatial, 0.1)).WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	blob := buf.Bytes()
-	for n := 0; n < len(blob); n++ {
-		_, err := ReadSummary(bytes.NewReader(blob[:n]))
-		if !errors.Is(err, ErrBadFormat) {
-			t.Fatalf("prefix %d/%d: err = %v, want ErrBadFormat", n, len(blob), err)
-		}
-		if n >= len(summaryMagic) && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Fatalf("prefix %d/%d: err = %v lost the short read", n, len(blob), err)
+	v1, err := os.ReadFile("testdata/golden-v1/spatial.ppqs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, blob := range [][]byte{buf.Bytes(), v1} {
+		ver := binary.LittleEndian.Uint16(blob[4:])
+		for n := 0; n < len(blob); n++ {
+			_, err := ReadSummary(bytes.NewReader(blob[:n]))
+			if !errors.Is(err, ErrBadFormat) {
+				t.Fatalf("version %d prefix %d/%d: err = %v, want ErrBadFormat", ver, n, len(blob), err)
+			}
+			if n >= len(summaryMagic) && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("version %d prefix %d/%d: err = %v lost the short read", ver, n, len(blob), err)
+			}
 		}
 	}
 }
@@ -334,7 +382,10 @@ func twoWords() *quant.Codebook {
 // runs on every segment file it opens: a corrupt file must come back as
 // an error, never a panic. A version-2 blob that loads must be the
 // canonical encoding of what it loaded: WriteTo gives it back byte for
-// byte.
+// byte, so no two encodings of one summary both load. The seeds include
+// every single-bit flip of the header and of the last trajectories of
+// the version-2 fixtures (the middle is skipped for time: each load
+// rebuilds the CQC tables).
 func FuzzReadSummary(f *testing.F) {
 	d := gen.Porto(gen.Config{NumTrajectories: 4, MinLen: 8, MaxLen: 12, Seed: 9})
 	for _, opts := range []Options{
@@ -351,12 +402,24 @@ func FuzzReadSummary(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	const head, tail = 64, 128
 	for _, path := range golden {
 		blob, err := os.ReadFile(path)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(blob)
+		if filepath.Base(filepath.Dir(path)) != "golden-v2" {
+			continue
+		}
+		for k := 0; k < 8*len(blob); k++ {
+			if k == 8*head && len(blob) > head+tail {
+				k = 8 * (len(blob) - tail)
+			}
+			b := bytes.Clone(blob)
+			b[k/8] ^= 0x80 >> (k % 8)
+			f.Add(b)
+		}
 	}
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		s, err := ReadSummary(bytes.NewReader(blob))
@@ -371,46 +434,6 @@ func FuzzReadSummary(f *testing.F) {
 			t.Fatalf("accepted blob re-encodes differently:\n in  % x\n out % x", blob, buf.Bytes())
 		}
 	})
-}
-
-// TestReadSummaryOnlyCanonical flips, one at a time, every bit of the
-// header and of the last trajectories of the version-2 golden files:
-// whatever still loads must re-encode to the flipped bytes, so no two
-// encodings of one summary both load. (The middle is skipped for time:
-// each load rebuilds the CQC tables.)
-func TestReadSummaryOnlyCanonical(t *testing.T) {
-	const head, tail = 64, 128
-	paths, err := filepath.Glob("testdata/golden-v2/*.ppqs")
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("no version-2 fixtures (err %v)", err)
-	}
-	accepted := 0
-	for _, path := range paths {
-		blob, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := 0; k < 8*len(blob); k++ {
-			if k == 8*head && len(blob) > head+tail {
-				k = 8 * (len(blob) - tail)
-			}
-			b := bytes.Clone(blob)
-			b[k/8] ^= 0x80 >> (k % 8)
-			s, err := ReadSummary(bytes.NewReader(b))
-			if err != nil {
-				continue
-			}
-			accepted++
-			var buf bytes.Buffer
-			if _, err := s.WriteTo(&buf); err != nil {
-				t.Fatalf("%s bit %d: re-encoding: %v", path, k, err)
-			}
-			if !bytes.Equal(buf.Bytes(), b) {
-				t.Fatalf("%s with bit %d flipped loads but re-encodes differently", path, k)
-			}
-		}
-	}
-	t.Logf("%d single-bit variants load (payload bits: codewords, CQC codes, floats)", accepted)
 }
 
 // TestSerializeSizeReasonable: the file is the paper's accounting

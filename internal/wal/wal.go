@@ -914,13 +914,12 @@ func (l *Log) bumpDurableRecsLocked(n int64) {
 }
 
 // rotateLocked seals the active segment (fsync + close) and starts the
-// next one. Called with mu held.
+// next one. Called with mu held: the seal and the segment list swap have
+// to happen atomically under mu. A rotation is rare (once per
+// SegmentBytes) and bounded, unlike the per-commit sync path the
+// fsync-outside-mu rule exists for.
 //
-// list swaps to the new one, and both have to happen atomically under mu —
-// a rotation is rare (once per SegmentBytes) and bounded, unlike the
-// per-commit sync path the fsync-outside-mu rule exists for.
-//
-//ppqvet:allow lockorder rotation must seal the old file before the segment
+//ppqvet:allow lockorder rotation must seal the old file before the segment list swaps to the new one, atomically under mu; rare (once per SegmentBytes) and bounded, unlike the per-commit sync path.
 func (l *Log) rotateLocked() error {
 	if err := l.f.Sync(); err != nil {
 		return l.fail(fmt.Errorf("wal: rotate fsync: %w", err))

@@ -235,14 +235,19 @@ type bucket struct {
 }
 
 // buckets is the per-client quota table. Buckets are materialized on
-// first use and swept when the table grows past maxClients — a stale
-// bucket is by definition full, so dropping it loses nothing.
+// first use and swept when the table is full — a stale bucket is by
+// definition full, so dropping it loses nothing. The table never holds
+// more than maxClients buckets: while it is full of active clients, every
+// new key is charged to one shared overflow bucket, so a flood of fresh
+// client IDs neither grows the table nor escapes the quota.
 type buckets struct {
 	rate  float64
 	burst float64
 
-	mu sync.Mutex
-	m  map[string]*bucket
+	mu        sync.Mutex
+	m         map[string]*bucket
+	overflow  bucket
+	nextSweep time.Time // a full table is swept at most once per idle period
 
 	rejected atomic.Int64
 }
@@ -254,11 +259,15 @@ func (b *buckets) allow(key string, now time.Time) (ok bool, retryAfter time.Dur
 	defer b.mu.Unlock()
 	bk := b.m[key]
 	if bk == nil {
-		if len(b.m) >= maxClients {
+		if len(b.m) >= maxClients && !now.Before(b.nextSweep) {
 			b.sweepLocked(now)
 		}
-		bk = &bucket{tokens: b.burst, last: now}
-		b.m[key] = bk
+		if len(b.m) < maxClients {
+			bk = &bucket{tokens: b.burst, last: now}
+			b.m[key] = bk
+		} else {
+			bk = &b.overflow
+		}
 	}
 	if dt := now.Sub(bk.last).Seconds(); dt > 0 {
 		bk.tokens += dt * b.rate
@@ -283,12 +292,15 @@ func (b *buckets) allow(key string, now time.Time) (ok bool, retryAfter time.Dur
 }
 
 // sweepLocked drops buckets idle long enough to have refilled — they
-// carry no quota state a fresh bucket would not.
+// carry no quota state a fresh bucket would not. A bucket it keeps turns
+// idle within one idle period, so the next sweep waits that long: the
+// O(table) pass runs at most once per period, not once per new key.
 func (b *buckets) sweepLocked(now time.Time) {
 	idle := time.Duration(b.burst / b.rate * float64(time.Second))
 	if idle < time.Second {
 		idle = time.Second
 	}
+	b.nextSweep = now.Add(idle)
 	for k, bk := range b.m {
 		if now.Sub(bk.last) > idle {
 			delete(b.m, k)

@@ -2,6 +2,7 @@ package admit
 
 import (
 	"context"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -144,6 +145,37 @@ func TestClientQuotaRefills(t *testing.T) {
 	}
 	if ok, _ := b.allow("k", now.Add(10*time.Millisecond)); !ok {
 		t.Fatal("bucket did not refill")
+	}
+}
+
+// TestClientQuotaTableStaysAtCap fills the quota table with active
+// clients, then admits fresh keys: the table must not grow past its cap,
+// the fresh keys must share one overflow bucket, and once the table's
+// buckets go idle a sweep makes room again.
+func TestClientQuotaTableStaysAtCap(t *testing.T) {
+	b := &buckets{rate: 1, burst: 2, m: make(map[string]*bucket)}
+	t0 := time.Unix(1000, 0)
+	for i := range maxClients {
+		b.allow(strconv.Itoa(i), t0)
+	}
+	now := t0.Add(time.Millisecond)
+	admitted := 0
+	for i := range 10 {
+		if ok, _ := b.allow("new-"+strconv.Itoa(i), now); ok {
+			admitted++
+		}
+	}
+	if len(b.m) != maxClients {
+		t.Fatalf("table holds %d buckets, cap %d", len(b.m), maxClients)
+	}
+	if admitted != int(b.burst) {
+		t.Fatalf("%d fresh keys admitted, want one shared burst of %v", admitted, b.burst)
+	}
+	// Every bucket has refilled after the idle period: the next fresh key
+	// sweeps them out and gets a bucket of its own.
+	later := t0.Add(time.Minute)
+	if ok, _ := b.allow("late", later); !ok || b.m["late"] == nil || len(b.m) != 1 {
+		t.Fatalf("after the idle period: ok=%v, %d buckets", ok, len(b.m))
 	}
 }
 

@@ -281,32 +281,3 @@ func TestFigure9Shapes(t *testing.T) {
 		}
 	}
 }
-
-func TestAblationShapes(t *testing.T) {
-	rows := Ablations(tiny, io.Discard)
-	get := func(name, metric string) AblationRow {
-		for _, r := range rows {
-			if r.Name == name && r.Metric == metric {
-				return r
-			}
-		}
-		t.Fatalf("missing ablation %s/%s", name, metric)
-		return AblationRow{}
-	}
-	// Prediction shrinks the codebook.
-	if p := get("prediction (E-PQ vs Q-traj)", "codewords"); p.With >= p.Without {
-		t.Errorf("prediction should shrink the codebook: %v vs %v", p.With, p.Without)
-	}
-	// CQC reduces MAE at the cost of a larger summary.
-	if c := get("CQC (PPQ-S vs -basic)", "MAE (m)"); c.With >= c.Without {
-		t.Errorf("CQC should reduce MAE: %v vs %v", c.With, c.Without)
-	}
-	if c := get("CQC (PPQ-S vs -basic)", "size (KB)"); c.With <= c.Without {
-		t.Errorf("CQC costs bits: %v vs %v", c.With, c.Without)
-	}
-	// Incremental partitioning creates far fewer partitions than
-	// re-partitioning from scratch every tick.
-	if p := get("incremental partitioning", "partitions built"); p.With >= p.Without {
-		t.Errorf("incremental partitioning should reuse: %v vs %v", p.With, p.Without)
-	}
-}

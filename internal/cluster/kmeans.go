@@ -323,19 +323,6 @@ func nearest2D(px, py float64, cx, cy []float64) int {
 	return best
 }
 
-// MaxRadius returns, per cluster, the maximum distance from a member to
-// its centroid — the left-hand side of Equations 7/8.
-func (r *Result) MaxRadius(data [][]float64) []float64 {
-	radii := make([]float64, len(r.Centroids))
-	for i, v := range data {
-		c := r.Assign[i]
-		if d := math.Sqrt(dist2(v, r.Centroids[c])); d > radii[c] {
-			radii[c] = d
-		}
-	}
-	return radii
-}
-
 // BoundedOptions configures BoundedPartition.
 type BoundedOptions struct {
 	// Epsilon is ε_p: the maximum allowed distance from any member to its

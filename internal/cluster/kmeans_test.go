@@ -106,13 +106,15 @@ func TestKMeansHighDim(t *testing.T) {
 	}
 }
 
-func TestMaxRadius(t *testing.T) {
-	data := [][]float64{{0, 0}, {0, 4}}
-	r := &Result{Centroids: [][]float64{{0, 0}}, Assign: []int{0, 0}}
-	radii := r.MaxRadius(data)
-	if len(radii) != 1 || math.Abs(radii[0]-4) > 1e-12 {
-		t.Fatalf("radii = %v, want [4]", radii)
+// maxRadius returns, per cluster, the largest distance from a member to
+// its centroid: the left-hand side of Equations 7/8.
+func maxRadius(r *Result, data [][]float64) []float64 {
+	radii := make([]float64, len(r.Centroids))
+	for i, v := range data {
+		c := r.Assign[i]
+		radii[c] = math.Max(radii[c], math.Sqrt(dist2(v, r.Centroids[c])))
 	}
+	return radii
 }
 
 func TestSizes(t *testing.T) {
@@ -129,7 +131,7 @@ func TestBoundedPartitionSatisfiesEpsilon(t *testing.T) {
 	data = append(data, blob(rng, 150, -5, 5, 0.3)...)
 	eps := 1.5
 	res, stats := BoundedPartition(data, BoundedOptions{Epsilon: eps, Seed: 11})
-	for c, rad := range res.MaxRadius(data) {
+	for c, rad := range maxRadius(res, data) {
 		if rad > eps {
 			t.Fatalf("cluster %d radius %v exceeds ε_p %v", c, rad, eps)
 		}
@@ -202,7 +204,7 @@ func TestBoundedPartitionProperty(t *testing.T) {
 		}
 		eps := 0.5 + rng.Float64()*5
 		res, _ := BoundedPartition(data, BoundedOptions{Epsilon: eps, Seed: int64(iter)})
-		for c, rad := range res.MaxRadius(data) {
+		for c, rad := range maxRadius(res, data) {
 			if rad > eps+1e-9 {
 				t.Fatalf("iter %d: cluster %d radius %v > ε %v", iter, c, rad, eps)
 			}

@@ -22,18 +22,6 @@ type BitWriter struct {
 	nbit int // bits used in the last byte (0..7); 0 means last byte full/none
 }
 
-// WriteBit appends a single bit (any non-zero b writes 1).
-func (w *BitWriter) WriteBit(b uint) {
-	if w.nbit == 0 {
-		w.buf = append(w.buf, 0)
-		w.nbit = 8
-	}
-	w.nbit--
-	if b != 0 {
-		w.buf[len(w.buf)-1] |= 1 << uint(w.nbit)
-	}
-}
-
 // WriteBits appends the low n bits of v, most significant first. n must be
 // in [0, 64]. Bits land in byte-sized chunks, not one by one.
 func (w *BitWriter) WriteBits(v uint64, n int) {
@@ -91,16 +79,6 @@ func NewBitReader(buf []byte, nbits int) *BitReader {
 		nbits = len(buf) * 8
 	}
 	return &BitReader{buf: buf, nbit: nbits}
-}
-
-// ReadBit returns the next bit.
-func (r *BitReader) ReadBit() (uint, error) {
-	if r.pos >= r.nbit {
-		return 0, ErrShortStream
-	}
-	b := (r.buf[r.pos>>3] >> uint(7-r.pos&7)) & 1
-	r.pos++
-	return uint(b), nil
 }
 
 // ReadBits returns the next n bits as the low bits of a uint64, most

@@ -10,18 +10,18 @@ import (
 
 func TestBitWriterReaderRoundTrip(t *testing.T) {
 	var w BitWriter
-	w.WriteBit(1)
-	w.WriteBit(0)
+	w.WriteBits(1, 1)
+	w.WriteBits(0, 1)
 	w.WriteBits(0b1011, 4)
 	w.WriteBits(0xDEADBEEF, 32)
 	if w.Len() != 38 {
 		t.Fatalf("Len = %d, want 38", w.Len())
 	}
 	r := NewBitReader(w.Bytes(), w.Len())
-	if b, _ := r.ReadBit(); b != 1 {
+	if b, _ := readBit(r); b != 1 {
 		t.Fatal("first bit")
 	}
-	if b, _ := r.ReadBit(); b != 0 {
+	if b, _ := readBit(r); b != 0 {
 		t.Fatal("second bit")
 	}
 	if v, _ := r.ReadBits(4); v != 0b1011 {
@@ -33,7 +33,7 @@ func TestBitWriterReaderRoundTrip(t *testing.T) {
 	if r.Remaining() != 0 {
 		t.Fatalf("Remaining = %d", r.Remaining())
 	}
-	if _, err := r.ReadBit(); err != ErrShortStream {
+	if _, err := readBit(r); err != ErrShortStream {
 		t.Fatalf("expected ErrShortStream, got %v", err)
 	}
 }
@@ -52,9 +52,21 @@ func TestBitWriterReset(t *testing.T) {
 	}
 }
 
+// readBit is the one-bit-at-a-time read that the byte-wise ReadBits
+// replaced, kept as the oracle of ReadBits and of the bit-serial reference
+// decoders.
+func readBit(r *BitReader) (uint, error) {
+	if r.pos >= r.nbit {
+		return 0, ErrShortStream
+	}
+	b := (r.buf[r.pos>>3] >> uint(7-r.pos&7)) & 1
+	r.pos++
+	return uint(b), nil
+}
+
 // TestReadBitsMatchesReadBit reads every width 0–64 at every bit offset
 // of a random buffer both ways: the byte-wise ReadBits must return what a
-// ReadBit loop assembles, and a read past the end must fail without
+// readBit loop assembles, and a read past the end must fail without
 // consuming anything.
 func TestReadBitsMatchesReadBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -68,14 +80,14 @@ func TestReadBitsMatchesReadBit(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i := 0; i < off; i++ {
-					slow.ReadBit()
+					readBit(slow)
 				}
 				got, err := fast.ReadBits(width)
 				var want uint64
 				var wantErr error
 				for i := 0; i < width && wantErr == nil; i++ {
 					var b uint
-					b, wantErr = slow.ReadBit()
+					b, wantErr = readBit(slow)
 					want = want<<1 | uint64(b)
 				}
 				if wantErr != nil {
@@ -137,14 +149,14 @@ func TestHuffmanSingleSymbol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf, nbits, err := h.Encode([]uint32{42, 42, 42})
+	buf, nbits, err := encodeSymbols(h, []uint32{42, 42, 42})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if nbits != 3 {
 		t.Fatalf("single-symbol alphabet should use 1 bit/symbol, got %d bits", nbits)
 	}
-	got, err := h.Decode(buf, nbits, 3)
+	got, err := decodeSymbols(h, buf, nbits, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,12 +179,12 @@ func TestHuffmanSkewGivesShortCodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.CodeLen(0) >= h.CodeLen(3) {
+	if h.lens[0] >= h.lens[3] {
 		t.Fatalf("frequent symbol should have shorter code: len(0)=%d len(3)=%d",
-			h.CodeLen(0), h.CodeLen(3))
+			h.lens[0], h.lens[3])
 	}
-	if h.CodeLen(0) != 1 {
-		t.Fatalf("dominant symbol should get a 1-bit code, got %d", h.CodeLen(0))
+	if h.lens[0] != 1 {
+		t.Fatalf("dominant symbol should get a 1-bit code, got %d", h.lens[0])
 	}
 }
 
@@ -192,20 +204,23 @@ func TestHuffmanRoundTripRandom(t *testing.T) {
 		for i := range msg {
 			msg[i] = uint32(rng.Intn(alpha))
 		}
-		buf, nbits, err := h.Encode(msg)
+		buf, nbits, err := encodeSymbols(h, msg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := h.Decode(buf, nbits, len(msg))
+		got, err := decodeSymbols(h, buf, nbits, len(msg))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, msg) {
 			t.Fatalf("iter %d: round trip failed", iter)
 		}
-		wantBits, _ := h.EncodedBits(msg)
+		wantBits := 0
+		for _, s := range msg {
+			wantBits += h.lens[s]
+		}
 		if wantBits != nbits {
-			t.Fatalf("EncodedBits = %d, stream = %d", wantBits, nbits)
+			t.Fatalf("sum of code lengths = %d, stream = %d", wantBits, nbits)
 		}
 	}
 }
@@ -218,7 +233,7 @@ func TestHuffmanKraft(t *testing.T) {
 	}
 	var kraft float64
 	for s := uint32(0); s < 5; s++ {
-		kraft += 1 / float64(uint64(1)<<uint(h.CodeLen(s)))
+		kraft += 1 / float64(uint64(1)<<uint(h.lens[s]))
 	}
 	if kraft > 1.0000001 || kraft < 0.9999999 {
 		t.Fatalf("Kraft sum = %v, want 1", kraft)
@@ -233,23 +248,21 @@ func TestHuffmanUnknownSymbol(t *testing.T) {
 	}
 }
 
+// TestDeltaEncodeDecode checks the gap coding inside a posting list: a
+// repeated ID codes as a zero gap, a jump past the alphabet takes the
+// escape, and decoding sums the gaps back into the IDs.
 func TestDeltaEncodeDecode(t *testing.T) {
-	ids := []uint32{3, 7, 7, 20, 100}
-	d, err := DeltaEncode(ids)
+	ids := []uint32{3, 7, 7, 20, 100, 100 + GapAlphabet}
+	c, err := newCoder([][]uint32{ids})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(d, []uint32{3, 4, 0, 13, 80}) {
-		t.Fatalf("deltas = %v", d)
+	p, err := encode(c, ids)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := DeltaDecode(d); !reflect.DeepEqual(got, ids) {
-		t.Fatalf("decode = %v", got)
-	}
-	if _, err := DeltaEncode([]uint32{5, 3}); err == nil {
-		t.Fatal("unsorted input must error")
-	}
-	if d, _ := DeltaEncode(nil); len(d) != 0 {
-		t.Fatal("nil input")
+	if got, err := c.Decode(p); err != nil || !reflect.DeepEqual(got, ids) {
+		t.Fatalf("decode = %v, %v; want %v", got, err, ids)
 	}
 }
 
@@ -261,12 +274,12 @@ func TestPostingRoundTrip(t *testing.T) {
 		{},
 		{7},
 	}
-	c, err := NewPostingCoder(lists)
+	c, err := newCoder(lists)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, ids := range lists {
-		p, err := c.Encode(ids)
+		p, err := encode(c, ids)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,11 +302,11 @@ func TestPostingRoundTrip(t *testing.T) {
 }
 
 func TestPostingUnsortedInput(t *testing.T) {
-	c, err := NewPostingCoder([][]uint32{{5, 1, 3}})
+	c, err := newCoder([][]uint32{{5, 1, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := c.Encode([]uint32{5, 1, 3})
+	p, err := encode(c, []uint32{5, 1, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,11 +326,11 @@ func TestPostingCompressesDenseCells(t *testing.T) {
 	for i := range ids {
 		ids[i] = uint32(i + 5000)
 	}
-	c, err := NewPostingCoder([][]uint32{ids})
+	c, err := newCoder([][]uint32{ids})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := c.Encode(ids)
+	p, err := encode(c, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,11 +352,11 @@ func TestPostingRandomProperty(t *testing.T) {
 			ids = append(ids, id)
 		}
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		c, err := NewPostingCoder([][]uint32{ids})
+		c, err := newCoder([][]uint32{ids})
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := c.Encode(ids)
+		p, err := encode(c, ids)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,11 +377,11 @@ func TestPostingRandomProperty(t *testing.T) {
 }
 
 func TestPostingEmptyCoder(t *testing.T) {
-	c, err := NewPostingCoder(nil)
+	c, err := newCoder(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := c.Encode(nil)
+	p, err := encode(c, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,10 +398,10 @@ func BenchmarkPostingEncode(b *testing.B) {
 		cur += uint32(1 + rng.Intn(20))
 		ids = append(ids, cur)
 	}
-	c, _ := NewPostingCoder([][]uint32{ids})
+	c, _ := newCoder([][]uint32{ids})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Encode(ids); err != nil {
+		if _, err := encode(c, ids); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -407,7 +420,7 @@ func BenchmarkPostingDecode(b *testing.B) {
 			id += uint32(1 + rng.ExpFloat64()*40)
 		}
 	}
-	c, err := NewPostingCoder(lists)
+	c, err := newCoder(lists)
 	if err != nil {
 		b.Fatal(err)
 	}

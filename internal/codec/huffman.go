@@ -12,7 +12,8 @@ import (
 var ErrBadHuffmanCode = errors.New("codec: invalid huffman code")
 
 // Huffman is a canonical Huffman coder over uint32 symbols. Build it from
-// symbol frequencies, then Encode/Decode streams of symbols.
+// symbol frequencies, then encode symbols with EncodeSymbol; the posting
+// coder decodes them.
 //
 // Encoding and decoding run on dense arrays, not maps: canonical codes of
 // one length are consecutive, so a decoder only needs per-length
@@ -200,12 +201,6 @@ func newCanonical(lens map[uint32]int) (*Huffman, error) {
 	return h, nil
 }
 
-// CodeLen returns the code length in bits for symbol s (0 if unknown).
-func (h *Huffman) CodeLen(s uint32) int { return h.lens[s] }
-
-// MaxLen returns the longest code length.
-func (h *Huffman) MaxLen() int { return h.maxLen }
-
 // EncodeSymbol appends the code for s to w.
 func (h *Huffman) EncodeSymbol(w *BitWriter, s uint32) error {
 	if int64(s) < int64(len(h.fastLen)) {
@@ -221,64 +216,6 @@ func (h *Huffman) EncodeSymbol(w *BitWriter, s uint32) error {
 	}
 	w.WriteBits(h.codes[s], l)
 	return nil
-}
-
-// DecodeSymbol reads one symbol from r, walking the canonical per-length
-// ranges (codes of one length are consecutive, so membership is a single
-// range check per length — no table lookups).
-func (h *Huffman) DecodeSymbol(r *BitReader) (uint32, error) {
-	var code uint64
-	for l := 1; l <= h.maxLen; l++ {
-		bit, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		code = code<<1 | uint64(bit)
-		if c := h.dCount[l]; c > 0 && code >= h.dFirst[l] && code-h.dFirst[l] < uint64(c) {
-			return h.symbols[h.dOffset[l]+int32(code-h.dFirst[l])], nil
-		}
-	}
-	return 0, ErrBadHuffmanCode
-}
-
-// Encode writes all symbols to a fresh buffer and returns it along with
-// the exact bit length.
-func (h *Huffman) Encode(symbols []uint32) ([]byte, int, error) {
-	var w BitWriter
-	for _, s := range symbols {
-		if err := h.EncodeSymbol(&w, s); err != nil {
-			return nil, 0, err
-		}
-	}
-	return w.Bytes(), w.Len(), nil
-}
-
-// Decode reads exactly n symbols from buf (containing nbits valid bits).
-func (h *Huffman) Decode(buf []byte, nbits, n int) ([]uint32, error) {
-	r := NewBitReader(buf, nbits)
-	out := make([]uint32, 0, n)
-	for i := 0; i < n; i++ {
-		s, err := h.DecodeSymbol(r)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}
-
-// EncodedBits returns the total bit length of encoding symbols without
-// materializing the stream — used by the size accounting in Figure 9.
-func (h *Huffman) EncodedBits(symbols []uint32) (int, error) {
-	total := 0
-	for _, s := range symbols {
-		l, ok := h.lens[s]
-		if !ok {
-			return 0, fmt.Errorf("codec: symbol %d not in huffman alphabet", s)
-		}
-		total += l
-	}
-	return total, nil
 }
 
 // TableBits estimates the serialized size of the code table itself:

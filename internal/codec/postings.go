@@ -2,7 +2,6 @@ package codec
 
 import (
 	"encoding/binary"
-	"errors"
 	"slices"
 )
 
@@ -30,7 +29,7 @@ const GapAlphabet = 1 << 12
 // index (one table per PI, amortizing the table cost across cells).
 type PostingCoder struct {
 	huff    *Huffman
-	w       BitWriter // Encode scratch
+	w       BitWriter // AppendEncode scratch
 	scratch []uint32  // sort scratch for unsorted input
 
 	// table maps every tableBits-bit prefix to gap<<8 | code length for
@@ -116,24 +115,6 @@ func NewPostingCoderFromFreq(f *PostingFreq) (*PostingCoder, error) {
 	return c, nil
 }
 
-// gaps converts a sorted ID list to first-value-plus-gaps form. The first
-// element is stored as-is (it is also a "gap" from −1 conceptually; we use
-// id₀+1 gap from -1 to keep all symbols ≥ 0... simply: first = ids[0],
-// then deltas).
-func gaps(ids []uint32) []uint32 {
-	out := make([]uint32, len(ids))
-	prev := uint32(0)
-	for i, id := range ids {
-		if i == 0 {
-			out[i] = id
-		} else {
-			out[i] = id - prev
-		}
-		prev = id
-	}
-	return out
-}
-
 // symbolize maps a gap to its Huffman symbol (escape for large gaps).
 func symbolize(g uint32) uint32 {
 	if g >= GapAlphabet {
@@ -142,36 +123,15 @@ func symbolize(g uint32) uint32 {
 	return g
 }
 
-// NewPostingCoder builds the shared gap-frequency Huffman table from all
-// posting lists that the index will store. lists need not be sorted; the
-// coder sorts copies internally (IDs within a cell are set-valued).
-func NewPostingCoder(lists [][]uint32) (*PostingCoder, error) {
-	var f PostingFreq
-	for _, ids := range lists {
-		f.Add(ids)
-	}
-	return NewPostingCoderFromFreq(&f)
-}
-
 // TableBits returns the size of the shared Huffman table in bits.
 func (c *PostingCoder) TableBits() int { return c.huff.TableBits() }
 
-// Encode compresses ids (ascending order expected per the caller's
-// contract; already-sorted input — the common case, columns arrive
-// ID-sorted — is encoded in place with no copy, and unsorted input is
-// sorted into the coder's scratch).
-func (c *PostingCoder) Encode(ids []uint32) (*PostingList, error) {
-	pl, _, err := c.AppendEncode(nil, ids)
-	if err != nil {
-		return nil, err
-	}
-	return &pl, nil
-}
-
-// AppendEncode is Encode with the encoded bytes appended to arena: the
-// returned list's Data aliases the returned arena, letting an index seal
-// hundreds of thousands of tiny cell postings into a handful of
-// allocations. Growing the arena may reallocate it; lists encoded
+// AppendEncode compresses ids and appends the encoded bytes to arena.
+// Already-sorted input — the common case, columns arrive ID-sorted — is
+// encoded with no copy; unsorted input is sorted into the coder's
+// scratch. The returned list's Data aliases the returned arena, letting
+// an index seal hundreds of thousands of tiny cell postings into a
+// handful of allocations. Growing the arena may reallocate it; lists encoded
 // earlier keep their (still valid) view of the previous backing array.
 func (c *PostingCoder) AppendEncode(arena []byte, ids []uint32) (PostingList, []byte, error) {
 	s := ids
@@ -309,30 +269,4 @@ func window(data []byte, pos int) uint64 {
 		copy(buf[:], data[i:])
 	}
 	return binary.BigEndian.Uint64(buf[:])<<s | uint64(buf[8])>>(8-s)
-}
-
-// DeltaEncode returns the delta (gap) representation of a sorted uint32
-// slice, exposed for size accounting and tests.
-func DeltaEncode(sorted []uint32) ([]uint32, error) {
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i] < sorted[i-1] {
-			return nil, errors.New("codec: DeltaEncode requires sorted input")
-		}
-	}
-	return gaps(sorted), nil
-}
-
-// DeltaDecode inverts DeltaEncode.
-func DeltaDecode(deltas []uint32) []uint32 {
-	out := make([]uint32, len(deltas))
-	var prev uint32
-	for i, g := range deltas {
-		if i == 0 {
-			out[i] = g
-		} else {
-			out[i] = prev + g
-		}
-		prev = out[i]
-	}
-	return out
 }

@@ -664,9 +664,6 @@ func (b *Builder) Append(col *traj.Column) {
 // appending afterwards; the summary is live state, not a copy.
 func (b *Builder) Summary() *Summary { return b.sum }
 
-// PartitionStats exposes the partitioner's work counters (Figures 7–8).
-func (b *Builder) PartitionStats() partition.Stats { return b.part.Stats() }
-
 // Build runs the full stream of a dataset through a fresh builder — the
 // common offline entry point.
 func Build(d *traj.Dataset, opts Options) *Summary {

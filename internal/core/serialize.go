@@ -91,12 +91,6 @@ func (cw *countingWriter) u16(v uint16) {
 	cw.w.Write(b[:])
 	cw.n += 2
 }
-func (cw *countingWriter) u32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	cw.w.Write(b[:])
-	cw.n += 4
-}
 func (cw *countingWriter) u64(v uint64) {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], v)
@@ -131,13 +125,6 @@ func (rd *reader) u16() (uint16, error) {
 		return 0, err
 	}
 	return binary.LittleEndian.Uint16(b[:]), nil
-}
-func (rd *reader) u32() (uint32, error) {
-	var b [4]byte
-	if _, err := io.ReadFull(rd.r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b[:]), nil
 }
 func (rd *reader) u64() (uint64, error) {
 	var b [8]byte

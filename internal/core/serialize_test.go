@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -378,15 +380,11 @@ func twoWords() *quant.Codebook {
 	return book
 }
 
-// FuzzReadSummary feeds arbitrary bytes to ReadSummary, which the server
-// runs on every segment file it opens: a corrupt file must come back as
-// an error, never a panic. A version-2 blob that loads must be the
-// canonical encoding of what it loaded: WriteTo gives it back byte for
-// byte, so no two encodings of one summary both load. The seeds include
-// every single-bit flip of the header and of the last trajectories of
-// the version-2 fixtures (the middle is skipped for time: each load
-// rebuilds the CQC tables).
-func FuzzReadSummary(f *testing.F) {
+// summarySeeds returns FuzzReadSummary's seed blobs: two freshly built
+// summaries, every golden file, and the bit flips of the version-2 ones.
+func summarySeeds(tb testing.TB) [][]byte {
+	tb.Helper()
+	var seeds [][]byte
 	d := gen.Porto(gen.Config{NumTrajectories: 4, MinLen: 8, MaxLen: 12, Seed: 9})
 	for _, opts := range []Options{
 		DefaultOptions(partition.Spatial, 0.1),
@@ -394,21 +392,21 @@ func FuzzReadSummary(f *testing.F) {
 	} {
 		var buf bytes.Buffer
 		if _, err := Build(d, opts).WriteTo(&buf); err != nil {
-			f.Fatal(err)
+			tb.Fatal(err)
 		}
-		f.Add(buf.Bytes())
+		seeds = append(seeds, buf.Bytes())
 	}
 	golden, err := filepath.Glob("testdata/golden-v*/*.ppqs")
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	const head, tail = 64, 128
 	for _, path := range golden {
 		blob, err := os.ReadFile(path)
 		if err != nil {
-			f.Fatal(err)
+			tb.Fatal(err)
 		}
-		f.Add(blob)
+		seeds = append(seeds, blob)
 		if filepath.Base(filepath.Dir(path)) != "golden-v2" {
 			continue
 		}
@@ -418,8 +416,23 @@ func FuzzReadSummary(f *testing.F) {
 			}
 			b := bytes.Clone(blob)
 			b[k/8] ^= 0x80 >> (k % 8)
-			f.Add(b)
+			seeds = append(seeds, b)
 		}
+	}
+	return seeds
+}
+
+// FuzzReadSummary feeds arbitrary bytes to ReadSummary, which the server
+// runs on every segment file it opens: a corrupt file must come back as
+// an error, never a panic. A version-2 blob that loads must be the
+// canonical encoding of what it loaded: WriteTo gives it back byte for
+// byte, so no two encodings of one summary both load. The seeds include
+// every single-bit flip of the header and of the last trajectories of
+// the version-2 fixtures (the middle is skipped for time: each load
+// rebuilds the CQC tables).
+func FuzzReadSummary(f *testing.F) {
+	for _, blob := range summarySeeds(f) {
+		f.Add(blob)
 	}
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		s, err := ReadSummary(bytes.NewReader(blob))
@@ -434,6 +447,105 @@ func FuzzReadSummary(f *testing.F) {
 			t.Fatalf("accepted blob re-encodes differently:\n in  % x\n out % x", blob, buf.Bytes())
 		}
 	})
+}
+
+// allocated returns the bytes the calling goroutine's fn allocates, read
+// from the runtime's cumulative counter (other goroutines are idle while
+// a non-parallel test runs).
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// cqcTemplateBytes is what cqc.NewCoder allocates for the ε₁ and g_s in
+// blob's header (0 when the header is short or asks for no CQC): the part
+// of a load set by the template, not by the input's length. It reads the
+// header fields up to FixedWords in order, a flag as any non-zero byte.
+func cqcTemplateBytes(blob []byte, memo map[[2]float64]uint64) uint64 {
+	rd := &reader{r: bufio.NewReader(bytes.NewReader(blob))}
+	_, err := rd.bytes(len(summaryMagic) + 2) // magic, version
+	var k, fixedWords uint64
+	var eps1, epsP, gs float64
+	var mode, noPred, useCQC uint8
+	for _, field := range []any{&k, &eps1, &epsP, &mode, &noPred, &useCQC, &gs, &fixedWords} {
+		if err != nil {
+			return 0
+		}
+		switch p := field.(type) {
+		case *uint64:
+			*p, err = rd.uvarint()
+		case *float64:
+			*p, err = rd.f64()
+		case *uint8:
+			*p, err = rd.u8()
+		}
+	}
+	eps := eps1
+	if fixedWords > 0 && eps <= 0 {
+		eps = 16 * gs
+	}
+	if err != nil || useCQC == 0 || !(eps > 0 && gs > 0 && eps/gs <= maxCQCHalfCells) {
+		return 0
+	}
+	key := [2]float64{eps, gs}
+	if _, ok := memo[key]; !ok {
+		memo[key] = allocated(func() { cqc.NewCoder(eps, gs) })
+	}
+	return memo[key]
+}
+
+// TestReadSummaryAllocationBound checks that a load allocates at most
+// readAllocPerByte bytes per input byte, plus the CQC template tables and
+// readAllocFixed, over every fuzz seed (golden files and their bit flips)
+// and every 7th prefix of each golden file: a corrupt or short segment
+// file cannot make an open allocate more than its size suggests. The
+// fixed part is the 4 KiB read buffer plus one 64 KiB chunk of the
+// stream reader, which a corrupt length can claim before the read comes
+// up short. The worst seed measured 22 B per input byte; a -race build
+// allocates more for the same loads, up to 78 B per byte.
+func TestReadSummaryAllocationBound(t *testing.T) {
+	const readAllocPerByte, readAllocFixed = 128, 80 << 10
+	seeds := summarySeeds(t)
+	golden, err := filepath.Glob("testdata/golden-v*/*.ppqs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range golden {
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := 0; n < len(blob); n += 7 {
+			seeds = append(seeds, blob[:n])
+		}
+	}
+	// Template sizes first, so nothing else allocates between the
+	// counter reads around each load.
+	memo := map[[2]float64]uint64{}
+	tmpl := make([]uint64, len(seeds))
+	for i, blob := range seeds {
+		tmpl[i] = cqcTemplateBytes(blob, memo)
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	prev := ms.TotalAlloc
+	var worst float64
+	for i, blob := range seeds {
+		ReadSummary(bytes.NewReader(blob))
+		runtime.ReadMemStats(&ms)
+		got := ms.TotalAlloc - prev
+		prev = ms.TotalAlloc
+		if got > readAllocPerByte*uint64(len(blob))+tmpl[i]+readAllocFixed {
+			t.Fatalf("%d-byte blob: load allocated %d bytes, CQC template %d", len(blob), got, tmpl[i])
+		}
+		if len(blob) > 0 {
+			worst = max(worst, (float64(got)-float64(tmpl[i])-readAllocFixed)/float64(len(blob)))
+		}
+	}
+	t.Logf("%d blobs: at most %.1f B allocated per input byte beyond template and fixed cost", len(seeds), worst)
 }
 
 // TestSerializeSizeReasonable: the file is the paper's accounting

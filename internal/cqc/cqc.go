@@ -110,12 +110,6 @@ func NewCoder(eps1, gs float64) *Coder {
 	return c
 }
 
-// GridN returns the grid side length in cells.
-func (c *Coder) GridN() int { return c.n }
-
-// CellSize returns g_s.
-func (c *Coder) CellSize() float64 { return c.gs }
-
 // Epsilon returns ε₁.
 func (c *Coder) Epsilon() float64 { return c.eps }
 
@@ -191,7 +185,7 @@ func child(r rect, q int) rect {
 }
 
 // EncodeCell returns the CQC code of grid cell (ix, iy); both must be in
-// [0, GridN()).
+// [0, n), n the grid side.
 func (c *Coder) EncodeCell(ix, iy int) Code {
 	if ix < 0 || ix >= c.n || iy < 0 || iy >= c.n {
 		panic(fmt.Sprintf("cqc: cell (%d,%d) outside %d×%d grid", ix, iy, c.n, c.n))
@@ -232,7 +226,7 @@ func (c *Coder) encodeCellWalk(ix, iy int) Code {
 }
 
 // DecodeCell inverts EncodeCell. Codes that navigate into padding cells
-// yield coordinates outside [0, GridN()); callers that construct codes
+// yield coordinates outside the grid; callers that construct codes
 // only via EncodeCell never see that.
 func (c *Coder) DecodeCell(code Code) (ix, iy int) {
 	r := rect{0, 0, c.n, c.n}
@@ -245,11 +239,6 @@ func (c *Coder) DecodeCell(code Code) (ix, iy int) {
 	}
 	return r.x0, r.y0
 }
-
-// CenterCode returns cqc₁ — the code of the center cell where the
-// original point always sits (§4.2). It is a template constant, never
-// stored per point.
-func (c *Coder) CenterCode() Code { return c.EncodeCell(c.m, c.m) }
 
 // cellOf maps a displacement d = recon − orig (each axis within ±ε₁) to
 // the grid cell of the reconstructed point, clamping boundary cases.
@@ -290,7 +279,9 @@ func (c *Coder) Refine(recon geo.Point, code Code) geo.Point {
 	}
 	ix, iy := c.DecodeCell(code)
 	// Displacement of the reconstructed point's cell center from the grid
-	// center (where the original point lives): g_s · (c_cqc2 − c_cqc1).
-	off := geo.Point{X: float64(ix-c.m) * c.gs, Y: float64(iy-c.m) * c.gs}
+	// center (where the original point lives): g_s · (c_cqc2 − c_cqc1),
+	// rounded before the subtraction (the explicit float64) so no
+	// architecture fuses the two, matching the table path bit for bit.
+	off := geo.Point{X: float64(float64(ix-c.m) * c.gs), Y: float64(float64(iy-c.m) * c.gs)}
 	return recon.Sub(off)
 }

@@ -13,8 +13,8 @@ func TestNewCoderGeometry(t *testing.T) {
 	gs := geo.MetersToDegrees(50)
 	c := NewCoder(0.001, gs)
 	// half = ceil(0.001/0.000450…) = 3 → n = 7.
-	if c.GridN() != 7 {
-		t.Fatalf("GridN = %d, want 7", c.GridN())
+	if c.n != 7 {
+		t.Fatalf("grid side = %d, want 7", c.n)
 	}
 	// depth: 7→4→2→1 = 3 levels → 6-bit codes ("short binary codes").
 	if c.CodeBits() != 6 {
@@ -49,7 +49,7 @@ func TestEncodeDecodeCellRoundTripExhaustive(t *testing.T) {
 		{0.001, geo.MetersToDegrees(50)}, // paper defaults
 	} {
 		c := NewCoder(params.eps, params.gs)
-		n := c.GridN()
+		n := c.n
 		if n%2 != 1 {
 			t.Fatalf("grid side %d should be odd", n)
 		}
@@ -85,7 +85,9 @@ func TestEncodeCellPanicsOutsideGrid(t *testing.T) {
 
 func TestCenterCodeStable(t *testing.T) {
 	c := NewCoder(2, 1) // 5×5, center (2,2)
-	code := c.CenterCode()
+	// cqc₁, the center cell's code: where the original point always sits
+	// (§4.2), a template constant never stored per point.
+	code := c.EncodeCell(c.m, c.m)
 	ix, iy := c.DecodeCell(code)
 	if ix != 2 || iy != 2 {
 		t.Fatalf("center decodes to (%d,%d)", ix, iy)

@@ -97,6 +97,34 @@ func bruteCols(ds *traj.Dataset, rect geo.Rect, m float64, from, to int, exact b
 	return cols
 }
 
+// collect drains in and buckets its rows per tick over [from, to],
+// sorted and deduplicated: the per-tick approximate answer the pipeline
+// tests compare against brute force.
+func collect(in Iterator, from, to int) ([]Column, error) {
+	buckets := make([][]traj.ID, max(to-from+1, 0))
+	if err := drain(in, from, to, func(tick int, ids []traj.ID) {
+		buckets[tick-from] = append(buckets[tick-from], ids...)
+	}); err != nil {
+		return nil, err
+	}
+	var cols []Column
+	for i, ids := range buckets {
+		if len(ids) > 0 {
+			slices.Sort(ids)
+			cols = append(cols, Column{Tick: from + i, IDs: traj.DedupSorted(ids)})
+		}
+	}
+	return cols, nil
+}
+
+// scan opens an untraced pooled pipe over [from, to] of w's index; the
+// caller drains it and calls Close.
+func (w *testWorld) scan(ctx context.Context, cls Classifier, from, to int) *ScanPipe {
+	var st index.ScanStats
+	var rows int64
+	return OpenScanPipe(ctx, w.idx, w, cls, from, to, &st, &rows, nil)
+}
+
 func TestPipelineMatchesBruteForce(t *testing.T) {
 	for _, withCache := range []bool{false, true} {
 		w := buildWorld(t, withCache)
@@ -111,20 +139,24 @@ func TestPipelineMatchesBruteForce(t *testing.T) {
 			to := from + rng.Intn(45)
 			cls := Classifier{Rect: rect, Margin: m}
 
-			var st index.ScanStats
-			it := Verify(ctx, NewSegmentScan(ctx, w.idx, cls, from, to, &st), w, cls)
-			got, err := Collect(it, from, to)
+			pipe := w.scan(ctx, cls, from, to)
+			got, err := collect(pipe.Iterator(), from, to)
+			pipe.Close()
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := bruteCols(w.ds, rect, m, from, to, false)
-			if !reflect.DeepEqual(got.Cols, want) {
-				t.Fatalf("approx rect %v m %.3f span %d..%d:\ngot  %v\nwant %v", rect, m, from, to, got.Cols, want)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("approx rect %v m %.3f span %d..%d:\ngot  %v\nwant %v", rect, m, from, to, got, want)
+			}
+			candidates := 0
+			for _, c := range got {
+				candidates += len(c.IDs)
 			}
 
-			var st2 index.ScanStats
-			it2 := Verify(ctx, NewSegmentScan(ctx, w.idx, cls, from, to, &st2), w, cls)
-			gotX, err := ExactVerify(ctx, it2, w.ds, rect, from, to, nil)
+			pipe = w.scan(ctx, cls, from, to)
+			gotX, err := ExactVerify(ctx, pipe.Iterator(), w.ds, rect, from, to, nil)
+			pipe.Close()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,12 +164,12 @@ func TestPipelineMatchesBruteForce(t *testing.T) {
 			if !reflect.DeepEqual(gotX.Cols, wantX) {
 				t.Fatalf("exact rect %v span %d..%d:\ngot  %v\nwant %v", rect, from, to, gotX.Cols, wantX)
 			}
-			if gotX.Candidates != got.Candidates {
-				t.Fatalf("exact candidates %d != approx candidates %d", gotX.Candidates, got.Candidates)
+			if gotX.Candidates != candidates {
+				t.Fatalf("exact candidates %d != approx candidates %d", gotX.Candidates, candidates)
 			}
 			// Visited must be the distinct-candidate count, not per tick.
 			distinct := map[traj.ID]bool{}
-			for _, c := range got.Cols {
+			for _, c := range got {
 				for _, id := range c.IDs {
 					distinct[id] = true
 				}
@@ -154,9 +186,9 @@ func TestCancelledContextStopsPipeline(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cls := Classifier{Rect: geo.Rect{MinX: 0, MinY: 0, MaxX: 8, MaxY: 8}, Margin: 0.2}
-	var st index.ScanStats
-	it := Verify(ctx, NewSegmentScan(ctx, w.idx, cls, 0, 50, &st), w, cls)
-	if _, err := Collect(it, 0, 50); err != context.Canceled {
+	pipe := w.scan(ctx, cls, 0, 50)
+	defer pipe.Close()
+	if _, err := collect(pipe.Iterator(), 0, 50); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -167,24 +199,29 @@ func TestInstrument(t *testing.T) {
 	cls := Classifier{Rect: geo.Rect{MinX: 2, MinY: 2, MaxX: 5, MaxY: 5}, Margin: 0.2}
 	scan := func() *SegmentScan {
 		var st index.ScanStats
-		return NewSegmentScan(ctx, w.idx, cls, 0, 40, &st)
+		s := &SegmentScan{}
+		s.init(ctx, new(index.RangeCursor), w.idx, cls, 0, 40, &st)
+		return s
 	}
 
-	// nil trace: the wrapper must vanish.
-	src := scan()
-	if it := Instrument(ctx, src, nil, "op_scan"); it != Iterator(src) {
-		t.Fatal("nil trace did not pass the iterator through")
+	// nil trace: the pipe wires no instrument stage.
+	pipe := w.scan(ctx, cls, 0, 40)
+	if pipe.Iterator() != Iterator(&pipe.verify) {
+		t.Fatal("untraced pipe is not the bare verify stage")
 	}
+	pipe.Close()
 
 	var rows int64
-	if _, err := Collect(CountRows(scan(), &rows), 0, 40); err != nil {
+	if _, err := collect(&CountRowsOp{in: scan(), n: &rows}, 0, 40); err != nil {
 		t.Fatal(err)
 	}
 	if rows == 0 {
 		t.Fatal("scan emitted no rows; the instrument check would be vacuous")
 	}
 	tr := obs.NewTrace()
-	if _, err := Collect(Instrument(ctx, scan(), tr, "op_scan"), 0, 40); err != nil {
+	var op InstrumentOp
+	op.reset(ctx, scan(), tr, "op_scan", "op_scan_rows")
+	if _, err := collect(&op, 0, 40); err != nil {
 		t.Fatal(err)
 	}
 	if got := tr.Report().Facts["op_scan_rows"]; got != rows {
@@ -224,7 +261,7 @@ func TestScanPipeInstrumentAccounting(t *testing.T) {
 			var st index.ScanStats
 			var scanRows, outRows int64
 			pipe := OpenScanPipe(ctx, w.idx, w, cls, 0, 40, &st, &scanRows, tr)
-			it := CountRows(pipe.Iterator(), &outRows)
+			it := &CountRowsOp{in: pipe.Iterator(), n: &outRows}
 			pulled := 0
 			for tc.pulls < 0 || pulled < tc.pulls {
 				if _, ok := it.Next(); !ok {

@@ -35,14 +35,7 @@ type VerifyOp struct {
 	flat  []traj.ID // backing for the filtered per-tick lists
 }
 
-// Verify composes the margin filter over in.
-func Verify(ctx context.Context, in Iterator, rec Reconstructor, cls Classifier) *VerifyOp {
-	v := &VerifyOp{}
-	v.reset(ctx, in, rec, cls)
-	return v
-}
-
-// reset re-aims the operator, keeping its batch scratch — the pooled-
+// reset aims the operator at in, keeping its batch scratch — the pooled-
 // pipeline path.
 func (v *VerifyOp) reset(ctx context.Context, in Iterator, rec Reconstructor, cls Classifier) {
 	v.ctx, v.in, v.rec, v.rect, v.m = ctx, in, rec, cls.Rect, cls.Margin
@@ -101,16 +94,11 @@ func (v *VerifyOp) Err() error { return v.err }
 
 // CountRowsOp counts rows flowing through an operator boundary into an
 // external counter — the serving layer's per-operator metrics hook.
-// Unlike Instrument it is unconditional and timer-free, so it is cheap
+// Unlike InstrumentOp it is unconditional and timer-free, so it is cheap
 // enough to leave on the untraced hot path.
 type CountRowsOp struct {
 	in Iterator
 	n  *int64
-}
-
-// CountRows accumulates the stream's row count into *n as it flows.
-func CountRows(in Iterator, n *int64) *CountRowsOp {
-	return &CountRowsOp{in: in, n: n}
 }
 
 // Next delegates one pull, counting the emitted batch.
@@ -142,18 +130,7 @@ type InstrumentOp struct {
 	rows     int64
 }
 
-// Instrument wraps in with tracing. With tr == nil it returns in
-// unchanged — the untraced hot path pays nothing.
-func Instrument(ctx context.Context, in Iterator, tr *obs.Trace, name string) Iterator {
-	if tr == nil {
-		return in
-	}
-	o := &InstrumentOp{}
-	o.reset(ctx, in, tr, name, name+"_rows")
-	return o
-}
-
-// reset re-aims the operator at a new stream — the pooled-pipeline path,
+// reset aims the operator at a new stream — the pooled-pipeline path,
 // which passes a constant rowsName so re-arming allocates nothing.
 func (o *InstrumentOp) reset(ctx context.Context, in Iterator, tr *obs.Trace, name, rowsName string) {
 	*o = InstrumentOp{ctx: ctx, in: in, tr: tr, name: name, rowsName: rowsName}

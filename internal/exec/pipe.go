@@ -11,12 +11,12 @@ import (
 // ScanPipe is the pooled per-scan pipeline — the operator chain every
 // planned segment scan runs:
 //
-//	SegmentScan → CountRows → [Instrument op_scan] →
-//	Verify → [Instrument op_verify]
+//	SegmentScan → CountRowsOp → [InstrumentOp op_scan] →
+//	VerifyOp → [InstrumentOp op_verify]
 //
 // One pool fetch replaces the half-dozen operator, cursor, and scratch
 // allocations a compositional executor would otherwise pay per scan.
-// The Instrument stages appear only when a trace is attached; untraced
+// The InstrumentOp stages appear only when a trace is attached; untraced
 // plans pay nothing for them.
 type ScanPipe struct {
 	cur     index.RangeCursor
@@ -52,9 +52,6 @@ func OpenScanPipe(ctx context.Context, idx *index.TPI, rec Reconstructor, cls Cl
 
 // Iterator is the pipeline's downstream end, ready for a sink.
 func (p *ScanPipe) Iterator() Iterator { return p.out }
-
-// Err reports the pipeline's terminal error, if any.
-func (p *ScanPipe) Err() error { return p.out.Err() }
 
 // Close reports a traced pipe's operator time and rows if the stream did
 // not end on its own, then returns the pipe's scratch to the pool. The

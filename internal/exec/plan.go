@@ -19,14 +19,6 @@ type TickRange struct {
 // Empty reports whether the range holds no ticks.
 func (r TickRange) Empty() bool { return r.Hi < r.Lo }
 
-// Ticks is the number of ticks in the range.
-func (r TickRange) Ticks() int {
-	if r.Empty() {
-		return 0
-	}
-	return r.Hi - r.Lo + 1
-}
-
 // Clip intersects r with s.
 func (r TickRange) Clip(s TickRange) TickRange {
 	return TickRange{Lo: max(r.Lo, s.Lo), Hi: min(r.Hi, s.Hi)}

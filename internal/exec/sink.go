@@ -25,34 +25,6 @@ type CollectResult struct {
 	Visited int
 }
 
-// Collect drains in and buckets its rows per tick over [from, to]:
-// the approximate-mode sink. Sorting per tick makes the output
-// independent of cell emission order, so it is point-for-point the
-// per-tick STRQ answer.
-func Collect(in Iterator, from, to int) (*CollectResult, error) {
-	span := to - from + 1
-	if span < 0 {
-		span = 0
-	}
-	buckets := make([][]traj.ID, span)
-	if err := drain(in, from, to, func(tick int, ids []traj.ID) {
-		buckets[tick-from] = append(buckets[tick-from], ids...)
-	}); err != nil {
-		return nil, err
-	}
-	res := &CollectResult{}
-	for i, ids := range buckets {
-		if len(ids) == 0 {
-			continue
-		}
-		slices.Sort(ids)
-		ids = traj.DedupSorted(ids)
-		res.Candidates += len(ids)
-		res.Cols = append(res.Cols, Column{Tick: from + i, IDs: ids})
-	}
-	return res, nil
-}
-
 // RawLookup is the raw-storage contract of exact verification —
 // satisfied by traj.Dataset.
 type RawLookup interface {

@@ -25,17 +25,10 @@ type SegmentScan struct {
 	visitFn func(cell geo.Rect) bool
 }
 
-// NewSegmentScan opens a scan of [from, to] against idx. Stats
-// accumulate into st as the cursor walks (margin-rejected cells count as
-// CellsSkipped).
-func NewSegmentScan(ctx context.Context, idx *index.TPI, cls Classifier, from, to int, st *index.ScanStats) *SegmentScan {
-	s := &SegmentScan{}
-	s.init(ctx, new(index.RangeCursor), idx, cls, from, to, st)
-	return s
-}
-
 // init aims the scan at [from, to] of idx through cur, keeping any
-// scratch both already hold — the pooled-pipeline path.
+// scratch both already hold — the pooled-pipeline path. Stats accumulate
+// into st as the cursor walks (margin-rejected cells count as
+// CellsSkipped).
 func (s *SegmentScan) init(ctx context.Context, cur *index.RangeCursor, idx *index.TPI, cls Classifier, from, to int, st *index.ScanStats) {
 	s.ctx, s.cur, s.cls = ctx, cur, cls
 	s.sure, s.err = false, nil

@@ -59,9 +59,6 @@ func (p Point) Dist2(q Point) float64 {
 	return dx*dx + dy*dy
 }
 
-// Norm returns the Euclidean norm of p viewed as a vector.
-func (p Point) Norm() float64 { return math.Sqrt(p.X*p.X + p.Y*p.Y) }
-
 // IsFinite reports whether both coordinates are finite numbers.
 func (p Point) IsFinite() bool {
 	return !math.IsNaN(p.X) && !math.IsInf(p.X, 0) && !math.IsNaN(p.Y) && !math.IsInf(p.Y, 0)
@@ -83,22 +80,6 @@ func Centroid(pts []Point) Point {
 	}
 	n := float64(len(pts))
 	return Point{sx / n, sy / n}
-}
-
-// MaxDistToCentroid returns the maximum distance from any point in pts to
-// their centroid — the quantity bounded by ε_p in Equations 7 and 8.
-func MaxDistToCentroid(pts []Point) float64 {
-	if len(pts) == 0 {
-		return 0
-	}
-	c := Centroid(pts)
-	max := 0.0
-	for _, p := range pts {
-		if d := p.Dist(c); d > max {
-			max = d
-		}
-	}
-	return max
 }
 
 // Rect is an axis-aligned rectangle, closed on the min edges and open on
@@ -148,13 +129,6 @@ func (r Rect) Center() Point { return Point{(r.MinX + r.MaxX) / 2, (r.MinY + r.M
 // Contains reports whether p lies in r (min-closed, max-open).
 func (r Rect) Contains(p Point) bool {
 	return p.X >= r.MinX && p.X < r.MaxX && p.Y >= r.MinY && p.Y < r.MaxY
-}
-
-// ContainsClosed reports whether p lies in r treating all edges as closed.
-// The minimum bounding rectangle of a point set must use this form so that
-// points on the max edge are still covered.
-func (r Rect) ContainsClosed(p Point) bool {
-	return p.X >= r.MinX && p.X <= r.MaxX && p.Y >= r.MinY && p.Y <= r.MaxY
 }
 
 // Intersects reports whether r and s share any interior area.

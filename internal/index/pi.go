@@ -619,11 +619,14 @@ func (r *Region) cellRange(area geo.Rect) (x0, y0, x1, y1 int32) {
 // cellRectOf returns the rectangle of the cell at key k, clipped to the
 // region.
 func (r *Region) cellRectOf(k cellKey) geo.Rect {
+	// Each product is rounded (the explicit float64) before the sum, so
+	// no architecture fuses them into multiply-adds and every node draws
+	// the same cell edges.
 	cell := geo.Rect{
-		MinX: r.Rect.MinX + float64(k.X)*r.gc,
-		MinY: r.Rect.MinY + float64(k.Y)*r.gc,
-		MaxX: r.Rect.MinX + float64(k.X+1)*r.gc,
-		MaxY: r.Rect.MinY + float64(k.Y+1)*r.gc,
+		MinX: r.Rect.MinX + float64(float64(k.X)*r.gc),
+		MinY: r.Rect.MinY + float64(float64(k.Y)*r.gc),
+		MaxX: r.Rect.MinX + float64(float64(k.X+1)*r.gc),
+		MaxY: r.Rect.MinY + float64(float64(k.Y+1)*r.gc),
 	}
 	return cell.Intersect(r.Rect)
 }

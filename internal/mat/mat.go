@@ -25,49 +25,20 @@ type Dense struct {
 	Data       []float64
 }
 
-// NewDense allocates a Rows×Cols zero matrix.
-func NewDense(rows, cols int) *Dense {
-	if rows < 0 || cols < 0 {
-		panic(fmt.Sprintf("mat: negative dimensions %dx%d", rows, cols))
-	}
-	return &Dense{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
-}
-
 // At returns the element at (i, j).
 func (m *Dense) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
 // Set assigns the element at (i, j).
 func (m *Dense) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
-// MulVec returns m · x.
-func (m *Dense) MulVec(x []float64) []float64 {
-	if len(x) != m.Cols {
-		panic(fmt.Sprintf("mat: MulVec dimension mismatch %d vs %d", len(x), m.Cols))
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// SolveLinear solves the square system A·x = b in place using Gaussian
-// elimination with partial pivoting. A and b are overwritten. It returns
-// ErrSingular when a pivot collapses below tolerance.
-func SolveLinear(a *Dense, b []float64) ([]float64, error) {
-	return solveLinearInto(make([]float64, a.Rows), a, b)
-}
-
-// solveLinearInto is SolveLinear writing the solution into x (len n).
+// solveLinearInto solves the square system A·x = b using Gaussian
+// elimination with partial pivoting, writing the solution into x (len n).
+// A and b are overwritten. It returns ErrSingular when a pivot collapses
+// below tolerance.
 func solveLinearInto(x []float64, a *Dense, b []float64) ([]float64, error) {
 	n := a.Rows
 	if a.Cols != n || len(b) != n {
-		panic("mat: SolveLinear requires a square system")
+		panic("mat: solveLinearInto requires a square system")
 	}
 	const tol = 1e-12
 	for col := 0; col < n; col++ {
@@ -110,19 +81,6 @@ func solveLinearInto(x []float64, a *Dense, b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// LeastSquares solves min ‖A·x − b‖² via the normal equations
-// AᵀA·x = Aᵀb, falling back to a small ridge term when AᵀA is singular
-// (which happens for degenerate windows, e.g. a stationary trajectory).
-// A has one row per observation and one column per coefficient.
-func LeastSquares(a *Dense, b []float64) ([]float64, error) {
-	var ws LSWorkspace
-	x, err := ws.LeastSquares(a, b)
-	if err != nil {
-		return nil, err
-	}
-	return append([]float64(nil), x...), nil
-}
-
 // LSWorkspace owns the scratch of repeated least-squares solves so the
 // per-partition coefficient fits of the build loop allocate nothing in
 // steady state. The zero value is ready to use; a workspace is not safe
@@ -150,9 +108,12 @@ func (d *Dense) reset(rows, cols int) {
 	d.Data = grow(d.Data, rows*cols)
 }
 
-// LeastSquares is the workspace form of the package-level LeastSquares.
-// The returned slice aliases the workspace and is valid until the next
-// call — callers that retain coefficients must copy them.
+// LeastSquares solves min ‖A·x − b‖² via the normal equations
+// AᵀA·x = Aᵀb, falling back to a small ridge term when AᵀA is singular
+// (which happens for degenerate windows, e.g. a stationary trajectory).
+// A has one row per observation and one column per coefficient. The
+// returned slice aliases the workspace and is valid until the next call —
+// callers that retain coefficients must copy them.
 func (w *LSWorkspace) LeastSquares(a *Dense, b []float64) ([]float64, error) {
 	if len(b) != a.Rows {
 		panic(fmt.Sprintf("mat: LeastSquares rows %d vs b %d", a.Rows, len(b)))
@@ -212,14 +173,9 @@ func (w *LSWorkspace) LeastSquares(a *Dense, b []float64) ([]float64, error) {
 	return nil, ErrSingular
 }
 
-// Autocovariance returns the sample autocovariances γ₀..γ_k of series x
-// (biased estimator, the standard choice for Yule-Walker).
-func Autocovariance(x []float64, k int) []float64 {
-	return autocovarianceInto(make([]float64, k+1), x, k)
-}
-
-// autocovarianceInto is Autocovariance writing into out (len k+1, cleared
-// here).
+// autocovarianceInto writes the sample autocovariances γ₀..γ_k of series
+// x into out (len k+1, cleared here): the biased estimator, the standard
+// choice for Yule-Walker.
 func autocovarianceInto(out []float64, x []float64, k int) []float64 {
 	for i := range out {
 		out[i] = 0
@@ -243,16 +199,6 @@ func autocovarianceInto(out []float64, x []float64, k int) []float64 {
 	return out
 }
 
-// YuleWalker fits an AR(k) model to series x and returns the k
-// autoregressive coefficients. These are the {a_i^t} features the
-// autocorrelation-based partitioner clusters on (§3.2.1). When the series
-// is too short or degenerate (constant), it returns the zero vector, which
-// places such trajectories in a common "no signal" region of feature space.
-func YuleWalker(x []float64, k int) []float64 {
-	var ws ARWorkspace
-	return ws.YuleWalkerInto(make([]float64, k), x, k)
-}
-
 // ARWorkspace owns the scratch of repeated Yule-Walker fits (the
 // per-trajectory autocorrelation features are re-estimated every tick).
 // The zero value is ready; not safe for concurrent use.
@@ -261,8 +207,12 @@ type ARWorkspace struct {
 	sys           Dense
 }
 
-// YuleWalkerInto is YuleWalker writing the coefficients into dst
-// (len k). It returns dst.
+// YuleWalkerInto fits an AR(k) model to series x and writes the k
+// autoregressive coefficients into dst (len k), returning dst. These are
+// the {a_i^t} features the autocorrelation-based partitioner clusters on
+// (§3.2.1). When the series is too short or degenerate (constant), it
+// returns the zero vector, which places such trajectories in a common "no
+// signal" region of feature space.
 func (w *ARWorkspace) YuleWalkerInto(dst []float64, x []float64, k int) []float64 {
 	for i := range dst {
 		dst[i] = 0

@@ -6,13 +6,40 @@ import (
 	"testing"
 )
 
+// newDense allocates a rows×cols zero matrix.
+func newDense(rows, cols int) *Dense {
+	return &Dense{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
+}
+
+// solve is solveLinearInto with a fresh solution vector.
+func solve(a *Dense, b []float64) ([]float64, error) {
+	return solveLinearInto(make([]float64, a.Rows), a, b)
+}
+
+// mulVec returns m · x.
+func mulVec(m *Dense, x []float64) []float64 {
+	out := make([]float64, m.Rows)
+	for i := range out {
+		for j := 0; j < m.Cols; j++ {
+			out[i] += m.At(i, j) * x[j]
+		}
+	}
+	return out
+}
+
+// yuleWalker fits AR(k) with a fresh workspace.
+func yuleWalker(x []float64, k int) []float64 {
+	var ws ARWorkspace
+	return ws.YuleWalkerInto(make([]float64, k), x, k)
+}
+
 func TestSolveLinearIdentity(t *testing.T) {
-	a := NewDense(3, 3)
+	a := newDense(3, 3)
 	for i := 0; i < 3; i++ {
 		a.Set(i, i, 1)
 	}
 	b := []float64{1, 2, 3}
-	x, err := SolveLinear(a, b)
+	x, err := solve(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,12 +52,12 @@ func TestSolveLinearIdentity(t *testing.T) {
 
 func TestSolveLinearKnown(t *testing.T) {
 	// 2x + y = 5 ; x - y = 1  →  x = 2, y = 1
-	a := NewDense(2, 2)
+	a := newDense(2, 2)
 	a.Set(0, 0, 2)
 	a.Set(0, 1, 1)
 	a.Set(1, 0, 1)
 	a.Set(1, 1, -1)
-	x, err := SolveLinear(a, []float64{5, 1})
+	x, err := solve(a, []float64{5, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,12 +68,12 @@ func TestSolveLinearKnown(t *testing.T) {
 
 func TestSolveLinearNeedsPivot(t *testing.T) {
 	// Zero on the diagonal forces a row swap.
-	a := NewDense(2, 2)
+	a := newDense(2, 2)
 	a.Set(0, 0, 0)
 	a.Set(0, 1, 1)
 	a.Set(1, 0, 1)
 	a.Set(1, 1, 0)
-	x, err := SolveLinear(a, []float64{3, 7})
+	x, err := solve(a, []float64{3, 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,12 +83,12 @@ func TestSolveLinearNeedsPivot(t *testing.T) {
 }
 
 func TestSolveLinearSingular(t *testing.T) {
-	a := NewDense(2, 2)
+	a := newDense(2, 2)
 	a.Set(0, 0, 1)
 	a.Set(0, 1, 2)
 	a.Set(1, 0, 2)
 	a.Set(1, 1, 4) // rank 1
-	if _, err := SolveLinear(a, []float64{1, 2}); err == nil {
+	if _, err := solve(a, []float64{1, 2}); err == nil {
 		t.Fatal("expected ErrSingular for rank-deficient matrix")
 	}
 }
@@ -70,7 +97,7 @@ func TestSolveLinearRandomRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for iter := 0; iter < 200; iter++ {
 		n := 1 + rng.Intn(6)
-		a := NewDense(n, n)
+		a := newDense(n, n)
 		for i := range a.Data {
 			a.Data[i] = rng.NormFloat64()
 		}
@@ -82,13 +109,13 @@ func TestSolveLinearRandomRoundTrip(t *testing.T) {
 		for i := range want {
 			want[i] = rng.NormFloat64()
 		}
-		b := a.MulVec(want)
-		// SolveLinear destroys its inputs; keep using fresh copies.
-		ac := NewDense(n, n)
+		b := mulVec(a, want)
+		// solveLinearInto destroys its inputs; keep using fresh copies.
+		ac := newDense(n, n)
 		copy(ac.Data, a.Data)
 		bc := make([]float64, n)
 		copy(bc, b)
-		got, err := SolveLinear(ac, bc)
+		got, err := solve(ac, bc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,15 +129,15 @@ func TestSolveLinearRandomRoundTrip(t *testing.T) {
 
 func TestLeastSquaresExact(t *testing.T) {
 	// Overdetermined but consistent: b = A·[2, -1].
-	a := NewDense(4, 2)
+	a := newDense(4, 2)
 	rows := [][]float64{{1, 0}, {0, 1}, {1, 1}, {2, 1}}
 	for i, r := range rows {
 		a.Set(i, 0, r[0])
 		a.Set(i, 1, r[1])
 	}
 	want := []float64{2, -1}
-	b := a.MulVec(want)
-	x, err := LeastSquares(a, b)
+	b := mulVec(a, want)
+	x, err := new(LSWorkspace).LeastSquares(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +150,7 @@ func TestLeastSquaresExact(t *testing.T) {
 
 func TestLeastSquaresNoisy(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	a := NewDense(500, 3)
+	a := newDense(500, 3)
 	want := []float64{0.5, -0.25, 1.5}
 	b := make([]float64, 500)
 	for i := 0; i < 500; i++ {
@@ -135,7 +162,7 @@ func TestLeastSquaresNoisy(t *testing.T) {
 		}
 		b[i] = s + rng.NormFloat64()*0.01
 	}
-	x, err := LeastSquares(a, b)
+	x, err := new(LSWorkspace).LeastSquares(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,9 +176,9 @@ func TestLeastSquaresNoisy(t *testing.T) {
 func TestLeastSquaresDegenerate(t *testing.T) {
 	// All-zero design matrix: ridge fallback must still return finite
 	// coefficients rather than exploding.
-	a := NewDense(5, 2)
+	a := newDense(5, 2)
 	b := []float64{1, 1, 1, 1, 1}
-	x, err := LeastSquares(a, b)
+	x, err := new(LSWorkspace).LeastSquares(a, b)
 	if err != nil {
 		t.Fatalf("ridge fallback failed: %v", err)
 	}
@@ -163,14 +190,14 @@ func TestLeastSquaresDegenerate(t *testing.T) {
 }
 
 func TestLeastSquaresUnderdetermined(t *testing.T) {
-	a := NewDense(1, 3)
-	if _, err := LeastSquares(a, []float64{1}); err == nil {
+	a := newDense(1, 3)
+	if _, err := new(LSWorkspace).LeastSquares(a, []float64{1}); err == nil {
 		t.Fatal("expected error for underdetermined system")
 	}
 }
 
 func TestAutocovarianceConstant(t *testing.T) {
-	g := Autocovariance([]float64{5, 5, 5, 5}, 2)
+	g := autocovarianceInto(make([]float64, 3), []float64{5, 5, 5, 5}, 2)
 	for lag, v := range g {
 		if v != 0 {
 			t.Errorf("γ[%d] = %v for constant series, want 0", lag, v)
@@ -180,7 +207,7 @@ func TestAutocovarianceConstant(t *testing.T) {
 
 func TestAutocovarianceLag0IsVariance(t *testing.T) {
 	x := []float64{1, 2, 3, 4}
-	g := Autocovariance(x, 1)
+	g := autocovarianceInto(make([]float64, 2), x, 1)
 	// Biased variance of {1,2,3,4} = 1.25
 	if math.Abs(g[0]-1.25) > 1e-12 {
 		t.Fatalf("γ₀ = %v, want 1.25", g[0])
@@ -194,7 +221,7 @@ func TestYuleWalkerRecoversAR1(t *testing.T) {
 	for t := 1; t < len(x); t++ {
 		x[t] = 0.8*x[t-1] + rng.NormFloat64()*0.1
 	}
-	a := YuleWalker(x, 1)
+	a := yuleWalker(x, 1)
 	if math.Abs(a[0]-0.8) > 0.02 {
 		t.Fatalf("AR(1) coefficient = %v, want ≈0.8", a[0])
 	}
@@ -207,7 +234,7 @@ func TestYuleWalkerRecoversAR2(t *testing.T) {
 	for t := 2; t < len(x); t++ {
 		x[t] = phi[0]*x[t-1] + phi[1]*x[t-2] + rng.NormFloat64()*0.1
 	}
-	a := YuleWalker(x, 2)
+	a := yuleWalker(x, 2)
 	for i := range phi {
 		if math.Abs(a[i]-phi[i]) > 0.03 {
 			t.Fatalf("AR(2) = %v, want ≈%v", a, phi)
@@ -216,13 +243,13 @@ func TestYuleWalkerRecoversAR2(t *testing.T) {
 }
 
 func TestYuleWalkerDegenerateInputs(t *testing.T) {
-	if a := YuleWalker(nil, 3); len(a) != 3 {
+	if a := yuleWalker(nil, 3); len(a) != 3 {
 		t.Fatal("wrong length for nil input")
 	}
-	if a := YuleWalker([]float64{1, 1, 1, 1, 1, 1}, 2); a[0] != 0 || a[1] != 0 {
+	if a := yuleWalker([]float64{1, 1, 1, 1, 1, 1}, 2); a[0] != 0 || a[1] != 0 {
 		t.Fatalf("constant series should give zero coefficients, got %v", a)
 	}
-	if a := YuleWalker([]float64{1, 2}, 3); len(a) != 3 {
+	if a := yuleWalker([]float64{1, 2}, 3); len(a) != 3 {
 		t.Fatal("short series should still return k coefficients")
 	}
 }
@@ -240,13 +267,4 @@ func TestVectorHelpers(t *testing.T) {
 	if math.Abs(EuclideanDist([]float64{0, 0}, []float64{3, 4})-5) > 1e-12 {
 		t.Error("EuclideanDist wrong")
 	}
-}
-
-func TestMulVecPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewDense(2, 2).MulVec([]float64{1})
 }

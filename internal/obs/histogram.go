@@ -66,51 +66,6 @@ type HistSnap struct {
 	Sum    float64
 }
 
-// Quantile estimates the q-quantile (0 < q ≤ 1) by linear interpolation
-// within the bucket holding the target rank. Values in the +Inf overflow
-// bucket clamp to the largest finite bound. Returns 0 for an empty
-// histogram.
-func (h *HistSnap) Quantile(q float64) float64 {
-	if h == nil || h.Count == 0 {
-		return 0
-	}
-	rank := q * float64(h.Count)
-	var seen float64
-	for i, c := range h.Counts {
-		if c == 0 {
-			continue
-		}
-		next := seen + float64(c)
-		if next >= rank {
-			if i == len(h.Bounds) { // overflow bucket
-				return h.Bounds[len(h.Bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.Bounds[i-1]
-			}
-			hi := h.Bounds[i]
-			frac := (rank - seen) / float64(c)
-			if frac < 0 {
-				frac = 0
-			} else if frac > 1 {
-				frac = 1
-			}
-			return lo + (hi-lo)*frac
-		}
-		seen = next
-	}
-	return h.Bounds[len(h.Bounds)-1]
-}
-
-// Mean returns Sum/Count, 0 when empty.
-func (h *HistSnap) Mean() float64 {
-	if h == nil || h.Count == 0 {
-		return 0
-	}
-	return h.Sum / float64(h.Count)
-}
-
 // atomicFloat is a float64 updated by CAS on its bit pattern.
 type atomicFloat struct{ bits atomic.Uint64 }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -180,15 +179,4 @@ func jsonSafe(v any) any {
 		}
 		return fmt.Sprint(x)
 	}
-}
-
-// SortedKeys is a small helper for deterministic test assertions over
-// fact maps.
-func SortedKeys[M ~map[string]V, V any](m M) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
 }

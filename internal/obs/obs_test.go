@@ -75,17 +75,6 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	if hs.Counts[0] != 1 || hs.Counts[1] != 9 || hs.Counts[2] != 90 || hs.Counts[3] != 0 || hs.Counts[4] != 0 {
 		t.Fatalf("bucket counts = %v", hs.Counts)
 	}
-	p50 := hs.Quantile(0.50)
-	if p50 < 0.01 || p50 > 0.1 {
-		t.Fatalf("p50 = %v, want within (0.01, 0.1]", p50)
-	}
-	p99 := hs.Quantile(0.99)
-	if p99 < 0.09 || p99 > 0.1 {
-		t.Fatalf("p99 = %v, want within bucket (0.01, 0.1] near its top", p99)
-	}
-	if q := hs.Quantile(0.999); q > 0.1 {
-		t.Fatalf("p999 = %v, want ≤ 0.1", q)
-	}
 }
 
 func TestHistogramOverflowBucket(t *testing.T) {
@@ -96,10 +85,6 @@ func TestHistogramOverflowBucket(t *testing.T) {
 	hs := r.Snapshot().Histogram("t_over")
 	if hs.Counts[2] != 2 {
 		t.Fatalf("overflow bucket = %d, want 2", hs.Counts[2])
-	}
-	// Overflow quantiles clamp to the largest finite bound.
-	if q := hs.Quantile(0.99); q != 2 {
-		t.Fatalf("overflow quantile = %v, want 2", q)
 	}
 }
 
@@ -209,7 +194,6 @@ func TestTraceNilSafe(t *testing.T) {
 	tr.Lap("x")
 	tr.Observe("y", time.Second)
 	tr.Add("z", 1)
-	tr.SkipLap()
 	if tr.Report() != nil || tr.Stages() != nil {
 		t.Fatal("nil trace should report nil")
 	}

@@ -60,17 +60,6 @@ func (t *Trace) Lap(stage string) {
 	t.mu.Unlock()
 }
 
-// SkipLap restarts the lap clock without attributing the elapsed time to
-// any stage — for time that belongs to a caller-owned stage.
-func (t *Trace) SkipLap() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.last = time.Now()
-	t.mu.Unlock()
-}
-
 // Observe adds d to the named stage without touching the lap clock — for
 // sub-measurements timed explicitly (a WAL append inside an apply lap).
 func (t *Trace) Observe(stage string, d time.Duration) {

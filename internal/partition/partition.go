@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"ppqtraj/internal/cluster"
-	"ppqtraj/internal/geo"
 	"ppqtraj/internal/traj"
 )
 
@@ -102,7 +101,6 @@ type Partitioner struct {
 	assign map[traj.ID]assignEntry // trajectory → label, epoch-stamped
 	epoch  uint64                  // current Step's stamp
 	next   int                     // next fresh partition label
-	qLive  int                     // partitions holding ≥1 trajectory after the last Step
 	stats  Stats
 }
 
@@ -119,11 +117,6 @@ func New(opts Options) *Partitioner {
 
 // Stats returns accumulated work counters.
 func (p *Partitioner) Stats() Stats { return p.stats }
-
-// QLive returns the number of partitions currently holding at least one
-// trajectory (meaningful after a Step call). The count is maintained by
-// Step; the call is O(1).
-func (p *Partitioner) QLive() int { return p.qLive }
 
 func centroidOf(feats [][]float64, members []int) []float64 {
 	if len(members) == 0 {
@@ -170,7 +163,6 @@ func (p *Partitioner) Step(ids []traj.ID, feats [][]float64) *Result {
 
 	p.epoch++
 	if len(ids) == 0 {
-		p.qLive = 0
 		return &Result{}
 	}
 	if p.opts.Mode == None {
@@ -182,7 +174,6 @@ func (p *Partitioner) Step(ids []traj.ID, feats [][]float64) *Result {
 		for _, id := range ids {
 			p.assign[id] = assignEntry{label: 0, epoch: p.epoch}
 		}
-		p.qLive = 1
 		return &Result{Groups: [][]int{group}, Labels: []int{0}, Q: 1}
 	}
 
@@ -349,7 +340,6 @@ func (p *Partitioner) Step(ids []traj.ID, feats [][]float64) *Result {
 			p.assign[ids[i]] = assignEntry{label: l, epoch: p.epoch}
 		}
 	}
-	p.qLive = len(labels)
 	// Periodic sweep keeps memory bounded on streams with trajectory
 	// churn: entries not stamped this step can never be carried forward
 	// again, so they are garbage once the step ends.
@@ -561,14 +551,4 @@ func distVec(a, b []float64) float64 {
 		s += d * d
 	}
 	return math.Sqrt(s)
-}
-
-// SpatialFeatures converts points to the 2-D feature vectors used by
-// Spatial mode.
-func SpatialFeatures(points []geo.Point) [][]float64 {
-	out := make([][]float64, len(points))
-	for i, p := range points {
-		out[i] = []float64{p.X, p.Y}
-	}
-	return out
 }

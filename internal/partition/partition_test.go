@@ -8,7 +8,13 @@ import (
 	"ppqtraj/internal/traj"
 )
 
-func feats2D(pts ...geo.Point) [][]float64 { return SpatialFeatures(pts) }
+func feats2D(pts ...geo.Point) [][]float64 {
+	out := make([][]float64, len(pts))
+	for i, p := range pts {
+		out[i] = []float64{p.X, p.Y}
+	}
+	return out
+}
 
 func idsUpTo(n int) []traj.ID {
 	ids := make([]traj.ID, n)
@@ -177,14 +183,12 @@ func TestMergeCloseParts(t *testing.T) {
 
 func TestDepartedTrajectoriesDropPartitions(t *testing.T) {
 	p := New(Options{Mode: Spatial, EpsP: 1, Seed: 7})
-	p.Step(idsUpTo(4), feats2D(geo.Pt(0, 0), geo.Pt(0.1, 0), geo.Pt(50, 50), geo.Pt(50.1, 50)))
-	if p.QLive() != 2 {
-		t.Fatalf("QLive = %d", p.QLive())
+	if r := p.Step(idsUpTo(4), feats2D(geo.Pt(0, 0), geo.Pt(0.1, 0), geo.Pt(50, 50), geo.Pt(50.1, 50))); r.Q != 2 {
+		t.Fatalf("Q = %d", r.Q)
 	}
 	// Only the first two remain.
-	r := p.Step([]traj.ID{0, 1}, feats2D(geo.Pt(0, 0), geo.Pt(0.1, 0)))
-	if r.Q != 1 || p.QLive() != 1 {
-		t.Fatalf("Q = %d, QLive = %d after departures", r.Q, p.QLive())
+	if r := p.Step([]traj.ID{0, 1}, feats2D(geo.Pt(0, 0), geo.Pt(0.1, 0))); r.Q != 1 {
+		t.Fatalf("Q = %d after departures", r.Q)
 	}
 }
 

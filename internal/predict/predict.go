@@ -38,26 +38,17 @@ func Predict(c Coefficients, history []geo.Point) geo.Point {
 	var p geo.Point
 	n := len(history)
 	for j := 0; j < len(c) && j < n; j++ {
-		// lag j+1 ⇒ history[n-1-j]
-		p = p.Add(history[n-1-j].Scale(c[j]))
+		// lag j+1 ⇒ history[n-1-j]. The explicit float64 rounds each
+		// product before the sum, so no architecture fuses the two into
+		// one multiply-add: every decoder rebuilds the same bits.
+		q := history[n-1-j].Scale(c[j])
+		p = p.Add(geo.Point{X: float64(q.X), Y: float64(q.Y)})
 	}
 	return p
 }
 
-// Fit solves Equation 1 for one partition: find P minimizing
-// Σ_i ‖T_i^t − Σ_j P_j·T̂_i^{t−j}‖². histories[i] holds the k previous
-// reconstructed points of trajectory i oldest-first (all length ≥ k),
-// targets[i] is the observed point. The x and y equations share the
-// coefficients, so both are stacked into one least-squares system.
-// Partitions with fewer observations than coefficients fall back to
-// RandomWalk.
-func Fit(k int, histories [][]geo.Point, targets []geo.Point) Coefficients {
-	var f Fitter
-	return f.Fit(k, histories, targets)
-}
-
 // Fitter owns the reusable design-matrix and solver scratch of repeated
-// Fit calls, so the per-partition fits of the build loop stop allocating.
+// fits, so the per-partition fits of the build loop stop allocating.
 // The zero value is ready; a Fitter is not safe for concurrent use (each
 // build worker owns one).
 type Fitter struct {
@@ -66,8 +57,14 @@ type Fitter struct {
 	ls mat.LSWorkspace
 }
 
-// Fit is the workspace form of the package-level Fit. The returned
-// Coefficients are freshly allocated (they are retained by the summary).
+// Fit solves Equation 1 for one partition: find P minimizing
+// Σ_i ‖T_i^t − Σ_j P_j·T̂_i^{t−j}‖². histories[i] holds the k previous
+// reconstructed points of trajectory i oldest-first (all length ≥ k),
+// targets[i] is the observed point. The x and y equations share the
+// coefficients, so both are stacked into one least-squares system.
+// Partitions with fewer observations than coefficients fall back to
+// RandomWalk. The returned Coefficients are freshly allocated (they are
+// retained by the summary).
 func (f *Fitter) Fit(k int, histories [][]geo.Point, targets []geo.Point) Coefficients {
 	if k < 1 {
 		return nil
@@ -141,7 +138,7 @@ func QuantizeCoefficients(c Coefficients) Coefficients {
 // QuantizeCoefficients.
 const CoefficientBits = 16
 
-// AutocorrFeature computes the lag-k autocorrelation feature a_i^t of a
+// ARScratch computes the lag-k autocorrelation feature a_i^t of a
 // trajectory from its recent window of raw points: the AR(k) coefficients
 // (Yule-Walker) of the *differenced* coordinate series, averaged over x
 // and y into one k-dim vector. The paper derives AR(k) parameters of the
@@ -150,18 +147,9 @@ const CoefficientBits = 16
 // numerically erratic, so we fit the increments — the standard
 // stationarity transform — which yields stable, regime-clustered features
 // for Equation 8 to partition on. Trajectories with similar motion
-// regimes (smooth cruise, jittery walk, …) land close together.
-func AutocorrFeature(window []geo.Point, k int) []float64 {
-	var s ARScratch
-	if len(window) == 0 {
-		return make([]float64, k)
-	}
-	return s.FeatureInto(make([]float64, k),
-		window[:len(window)-1], window[len(window)-1], k)
-}
-
-// ARScratch owns the buffers of repeated autocorrelation-feature
-// estimates. The zero value is ready; not safe for concurrent use.
+// regimes (smooth cruise, jittery walk, …) land close together. It owns
+// the buffers of repeated estimates; the zero value is ready; not safe
+// for concurrent use.
 type ARScratch struct {
 	xs, ys, ax, ay []float64
 	ws             mat.ARWorkspace
@@ -199,18 +187,4 @@ func (s *ARScratch) FeatureInto(dst []float64, prev []geo.Point, cur geo.Point, 
 		dst[i] = (ax[i] + ay[i]) / 2
 	}
 	return dst
-}
-
-// ResidualMAE reports the mean absolute (Euclidean) prediction error of
-// coefficients c over the given histories/targets — a model-quality
-// diagnostic used by tests and the ablation benches.
-func ResidualMAE(c Coefficients, histories [][]geo.Point, targets []geo.Point) float64 {
-	if len(histories) == 0 {
-		return 0
-	}
-	var s float64
-	for i, h := range histories {
-		s += targets[i].Dist(Predict(c, h))
-	}
-	return s / float64(len(histories))
 }

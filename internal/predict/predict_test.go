@@ -8,6 +8,33 @@ import (
 	"ppqtraj/internal/geo"
 )
 
+// fit runs one least-squares fit with a fresh Fitter.
+func fit(k int, histories [][]geo.Point, targets []geo.Point) Coefficients {
+	var f Fitter
+	return f.Fit(k, histories, targets)
+}
+
+// residualMAE is the mean Euclidean prediction error of c over the
+// histories and their targets.
+func residualMAE(c Coefficients, histories [][]geo.Point, targets []geo.Point) float64 {
+	var s float64
+	for i, h := range histories {
+		s += targets[i].Dist(Predict(c, h))
+	}
+	return s / float64(len(histories))
+}
+
+// autocorrFeature computes the feature of a whole window, its last point
+// standing as the current one.
+func autocorrFeature(window []geo.Point, k int) []float64 {
+	var s ARScratch
+	dst := make([]float64, k)
+	if len(window) == 0 {
+		return s.FeatureInto(dst, nil, geo.Point{}, k)
+	}
+	return s.FeatureInto(dst, window[:len(window)-1], window[len(window)-1], k)
+}
+
 func TestRandomWalkPredictsPrevious(t *testing.T) {
 	c := RandomWalk(3)
 	h := []geo.Point{geo.Pt(0, 0), geo.Pt(1, 1), geo.Pt(2, 3)}
@@ -45,26 +72,26 @@ func TestFitRecoversLinearDynamics(t *testing.T) {
 		histories = append(histories, []geo.Point{p0, p1})
 		targets = append(targets, p2)
 	}
-	c := Fit(k, histories, targets)
+	c := fit(k, histories, targets)
 	// Coefficients come back on the Q5.10 fixed-point grid, so recovery is
 	// exact to half a grid step.
 	if math.Abs(c[0]-1.6) > 1.0/1024 || math.Abs(c[1]+0.6) > 1.0/1024 {
 		t.Fatalf("coefficients = %v, want ≈[1.6 -0.6]", c)
 	}
-	if mae := ResidualMAE(c, histories, targets); mae > 0.05 {
+	if mae := residualMAE(c, histories, targets); mae > 0.05 {
 		t.Fatalf("residual MAE %v too large for near-exact dynamics", mae)
 	}
 }
 
 func TestFitFallsBackWithTooFewRows(t *testing.T) {
-	c := Fit(3, [][]geo.Point{{geo.Pt(1, 1)}}, []geo.Point{geo.Pt(2, 2)})
+	c := fit(3, [][]geo.Point{{geo.Pt(1, 1)}}, []geo.Point{geo.Pt(2, 2)})
 	want := RandomWalk(3)
 	for i := range want {
 		if c[i] != want[i] {
 			t.Fatalf("expected random-walk fallback, got %v", c)
 		}
 	}
-	if got := Fit(0, nil, nil); got != nil {
+	if got := fit(0, nil, nil); got != nil {
 		t.Fatalf("k=0 should return nil, got %v", got)
 	}
 }
@@ -83,7 +110,7 @@ func TestFitIgnoresShortHistories(t *testing.T) {
 	}
 	histories = append(histories, []geo.Point{geo.Pt(999, 999)}) // short
 	targets = append(targets, geo.Pt(-999, -999))
-	c := Fit(2, histories, targets)
+	c := fit(2, histories, targets)
 	if math.Abs(c[0]-2) > 1e-6 || math.Abs(c[1]+1) > 1e-6 {
 		t.Fatalf("coefficients = %v, want [2 -1]", c)
 	}
@@ -107,9 +134,9 @@ func TestFitPredictionBeatsRandomWalkOnSmoothMotion(t *testing.T) {
 		histories = append(histories, pts[:k])
 		targets = append(targets, pts[k])
 	}
-	c := Fit(k, histories, targets)
-	fitMAE := ResidualMAE(c, histories, targets)
-	rwMAE := ResidualMAE(RandomWalk(k), histories, targets)
+	c := fit(k, histories, targets)
+	fitMAE := residualMAE(c, histories, targets)
+	rwMAE := residualMAE(RandomWalk(k), histories, targets)
 	if fitMAE >= rwMAE {
 		t.Fatalf("fit MAE %v should beat random walk %v", fitMAE, rwMAE)
 	}
@@ -130,8 +157,8 @@ func TestAutocorrFeatureSeparatesRegimes(t *testing.T) {
 	for i := range noisy {
 		noisy[i] = geo.Pt(rng.NormFloat64(), rng.NormFloat64())
 	}
-	fa := AutocorrFeature(smooth, k)
-	fb := AutocorrFeature(noisy, k)
+	fa := autocorrFeature(smooth, k)
+	fb := autocorrFeature(noisy, k)
 	var dist float64
 	for i := range fa {
 		d := fa[i] - fb[i]
@@ -143,7 +170,7 @@ func TestAutocorrFeatureSeparatesRegimes(t *testing.T) {
 }
 
 func TestAutocorrFeatureLength(t *testing.T) {
-	f := AutocorrFeature(nil, 4)
+	f := autocorrFeature(nil, 4)
 	if len(f) != 4 {
 		t.Fatalf("feature length %d, want 4", len(f))
 	}
@@ -151,11 +178,5 @@ func TestAutocorrFeatureLength(t *testing.T) {
 		if v != 0 {
 			t.Fatal("empty window should give zero feature")
 		}
-	}
-}
-
-func TestResidualMAEEmpty(t *testing.T) {
-	if got := ResidualMAE(RandomWalk(2), nil, nil); got != 0 {
-		t.Fatalf("empty MAE = %v", got)
 	}
 }

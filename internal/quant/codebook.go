@@ -86,25 +86,6 @@ func (c *Codebook) NearestWithin(p geo.Point) (idx int, dist float64, found bool
 	return best, math.Sqrt(bestD2), true
 }
 
-// Nearest returns the nearest codeword index and its distance, scanning
-// the whole codebook when the grid neighborhood is empty. It panics on an
-// empty codebook.
-func (c *Codebook) Nearest(p geo.Point) (int, float64) {
-	if len(c.Words) == 0 {
-		panic("quant: Nearest on empty codebook")
-	}
-	if idx, d, ok := c.NearestWithin(p); ok {
-		return idx, d
-	}
-	best, bestD := 0, math.Inf(1)
-	for i, w := range c.Words {
-		if d := p.Dist(w); d < bestD {
-			best, bestD = i, d
-		}
-	}
-	return best, bestD
-}
-
 // Incremental is the error-bounded incremental quantizer of Equation 3.
 // Quantize assigns each error vector to a codeword within Epsilon, growing
 // the codebook over the unsatisfied errors in one of two ways:
@@ -222,17 +203,6 @@ func (q *Incremental) QuantizeInto(out []int, errs []geo.Point) []int {
 	return out
 }
 
-// CheckBound verifies the Definition 3.2 invariant for a batch: every
-// error is within Epsilon of its assigned codeword.
-func (q *Incremental) CheckBound(errs []geo.Point, idxs []int) bool {
-	for i, e := range errs {
-		if e.Dist(q.Book.Word(idxs[i])) > q.Epsilon+1e-12 {
-			return false
-		}
-	}
-	return true
-}
-
 // FixedResult is a fixed-budget quantization of one batch of vectors.
 type FixedResult struct {
 	Book  *Codebook
@@ -254,29 +224,4 @@ func FixedKMeans(points []geo.Point, v, maxIter int, seed int64) *FixedResult {
 		book.Add(geo.Point{X: c[0], Y: c[1]})
 	}
 	return &FixedResult{Book: book, Codes: res.Assign}
-}
-
-// MaxError returns the maximum distance between each point and its
-// assigned codeword.
-func (r *FixedResult) MaxError(points []geo.Point) float64 {
-	max := 0.0
-	for i, p := range points {
-		if d := p.Dist(r.Book.Word(r.Codes[i])); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
-// MeanError returns the mean distance between each point and its assigned
-// codeword (the per-batch MAE contribution).
-func (r *FixedResult) MeanError(points []geo.Point) float64 {
-	if len(points) == 0 {
-		return 0
-	}
-	var s float64
-	for i, p := range points {
-		s += p.Dist(r.Book.Word(r.Codes[i]))
-	}
-	return s / float64(len(points))
 }

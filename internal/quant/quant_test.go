@@ -17,6 +17,35 @@ func randPoints(rng *rand.Rand, n int, scale float64) []geo.Point {
 	return out
 }
 
+// checkBound reports whether every error lies within q's ε of its
+// assigned codeword (the Definition 3.2 invariant).
+func checkBound(q *Incremental, errs []geo.Point, idxs []int) bool {
+	for i, e := range errs {
+		if e.Dist(q.Book.Word(idxs[i])) > q.Epsilon+1e-12 {
+			return false
+		}
+	}
+	return true
+}
+
+// maxError is the largest distance from a point to its codeword.
+func maxError(r *FixedResult, points []geo.Point) float64 {
+	m := 0.0
+	for i, p := range points {
+		m = math.Max(m, p.Dist(r.Book.Word(r.Codes[i])))
+	}
+	return m
+}
+
+// meanError is the mean distance from a point to its codeword.
+func meanError(r *FixedResult, points []geo.Point) float64 {
+	var s float64
+	for i, p := range points {
+		s += p.Dist(r.Book.Word(r.Codes[i]))
+	}
+	return s / float64(len(points))
+}
+
 func TestCodebookAddNearest(t *testing.T) {
 	cb := NewCodebook(1)
 	if cb.Len() != 0 {
@@ -27,14 +56,12 @@ func TestCodebookAddNearest(t *testing.T) {
 	if i0 != 0 || i1 != 1 {
 		t.Fatalf("indexes %d %d", i0, i1)
 	}
-	idx, d := cb.Nearest(geo.Pt(0.1, 0.1))
-	if idx != 0 || d > 0.2 {
-		t.Fatalf("Nearest = %d %v", idx, d)
+	idx, d, ok := cb.NearestWithin(geo.Pt(0.1, 0.1))
+	if !ok || idx != 0 || d > 0.2 {
+		t.Fatalf("NearestWithin = %d %v %v", idx, d, ok)
 	}
-	// Far query: grid neighborhood is empty, full scan fallback must work.
-	idx, _ = cb.Nearest(geo.Pt(100, 100))
-	if idx != 1 {
-		t.Fatalf("far Nearest = %d", idx)
+	if idx, _, ok = cb.NearestWithin(geo.Pt(10.5, 9.6)); !ok || idx != 1 {
+		t.Fatalf("NearestWithin = %d %v, want the second codeword", idx, ok)
 	}
 }
 
@@ -48,15 +75,6 @@ func TestCodebookNearestWithinRadius(t *testing.T) {
 	if _, _, ok := cb.NearestWithin(geo.Pt(5, 5)); ok {
 		t.Fatal("NearestWithin found codeword far outside neighborhood")
 	}
-}
-
-func TestCodebookNearestPanicsEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewCodebook(1).Nearest(geo.Pt(0, 0))
 }
 
 func TestCodebookBytes(t *testing.T) {
@@ -74,7 +92,7 @@ func TestIncrementalBoundInvariant(t *testing.T) {
 	for batch := 0; batch < 10; batch++ {
 		errs := randPoints(rng, 500, 1)
 		idxs := q.Quantize(errs)
-		if !q.CheckBound(errs, idxs) {
+		if !checkBound(q, errs, idxs) {
 			t.Fatalf("batch %d violates the ε bound", batch)
 		}
 	}
@@ -149,10 +167,10 @@ func TestFixedKMeansBudget(t *testing.T) {
 	if len(r.Codes) != 400 {
 		t.Fatalf("codes %d", len(r.Codes))
 	}
-	if r.MaxError(pts) <= 0 {
+	if maxError(r, pts) <= 0 {
 		t.Fatal("max error should be positive for scattered data")
 	}
-	if r.MeanError(pts) > r.MaxError(pts) {
+	if meanError(r, pts) > maxError(r, pts) {
 		t.Fatal("mean must not exceed max")
 	}
 }
@@ -162,9 +180,9 @@ func TestFixedKMeansMoreWordsLessError(t *testing.T) {
 	pts := randPoints(rng, 1000, 10)
 	coarse := FixedKMeans(pts, 4, 25, 6)
 	fine := FixedKMeans(pts, 64, 25, 6)
-	if fine.MeanError(pts) >= coarse.MeanError(pts) {
+	if meanError(fine, pts) >= meanError(coarse, pts) {
 		t.Fatalf("64 words should beat 4: %v vs %v",
-			fine.MeanError(pts), coarse.MeanError(pts))
+			meanError(fine, pts), meanError(coarse, pts))
 	}
 }
 
@@ -242,8 +260,8 @@ func TestProductWorseThanVQOnCorrelatedData(t *testing.T) {
 		pqErr += p.Dist(pq.Decode(codes[i]))
 	}
 	pqErr /= float64(len(pts))
-	if vq.MeanError(pts) >= pqErr {
-		t.Fatalf("VQ should beat PQ on correlated data: %v vs %v", vq.MeanError(pts), pqErr)
+	if meanError(vq, pts) >= pqErr {
+		t.Fatalf("VQ should beat PQ on correlated data: %v vs %v", meanError(vq, pts), pqErr)
 	}
 }
 

@@ -259,11 +259,11 @@ func TestDiskModeChargesIOs(t *testing.T) {
 		tr := d.Get(traj.ID(rng.Intn(d.Len())))
 		tick := tr.Start + rng.Intn(tr.Len())
 		qp, _ := tr.At(tick)
-		rt := ps.BeginRead()
-		res, _ := eng.STRQ(context.Background(), qp, tick, false, rt)
+		reads := ps.Reads()
+		res, _ := eng.STRQ(context.Background(), qp, tick, false, ps.BeginRead())
 		if res.Covered {
 			asked++
-			if rt.PagesTouched() == 0 {
+			if ps.Reads() == reads {
 				t.Fatal("covered disk query should touch pages")
 			}
 		}

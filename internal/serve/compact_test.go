@@ -151,7 +151,7 @@ func TestSnapshotSharesFrozenColumns(t *testing.T) {
 			continue
 		}
 		for i, p := range col.Points {
-			ans, err := repo.STRQ(ctx, STRQRequest{P: p, Tick: col.Tick, Exact: true})
+			ans, err := strq(ctx, repo, STRQRequest{P: p, Tick: col.Tick, Exact: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -377,7 +377,7 @@ func TestCompactionChunkFailure(t *testing.T) {
 		ctx := context.Background()
 		for _, col := range cols {
 			for i, p := range col.Points {
-				ans, err := repo.STRQ(ctx, STRQRequest{P: p, Tick: col.Tick, Exact: true})
+				ans, err := strq(ctx, repo, STRQRequest{P: p, Tick: col.Tick, Exact: true})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -68,7 +68,7 @@ func TestLongPathLenDoesNotStallIngest(t *testing.T) {
 	start := time.Now()
 	pathDone := run(func() { path = repo.Path(ctx, tr.ID, 0, huge) })
 	strqDone := run(func() {
-		ans, strqErr = repo.STRQ(ctx, STRQRequest{P: tr.Points[0], Tick: tr.Start, PathLen: huge})
+		ans, strqErr = strq(ctx, repo, STRQRequest{P: tr.Points[0], Tick: tr.Start, PathLen: huge})
 	})
 	// One trajectory keeps ingesting while the long queries run; every
 	// batch must be acknowledged promptly.
@@ -166,7 +166,7 @@ func TestCancelledWindowReturnsPromptly(t *testing.T) {
 	if _, err := repo.Window(ctx, rect, 0, lastTick, false); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired deadline: want DeadlineExceeded, got %v", err)
 	}
-	if _, err := repo.STRQ(ctx, STRQRequest{P: cols[0].Points[0], Tick: cols[0].Tick}); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := strq(ctx, repo, STRQRequest{P: cols[0].Points[0], Tick: cols[0].Tick}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired STRQ deadline: want DeadlineExceeded, got %v", err)
 	}
 
@@ -253,7 +253,7 @@ func TestCacheHitsRacingCompactionTrim(t *testing.T) {
 				}
 				col := cols[rng.Intn(int(hi)+1)]
 				p := col.Points[rng.Intn(col.Len())]
-				ans, err := repo.STRQ(context.Background(), STRQRequest{P: p, Tick: col.Tick, Exact: true})
+				ans, err := strq(context.Background(), repo, STRQRequest{P: p, Tick: col.Tick, Exact: true})
 				if err != nil {
 					errCh <- err
 					return
@@ -304,7 +304,7 @@ func TestCacheHitsRacingCompactionTrim(t *testing.T) {
 	}
 	for pass := 0; pass < 2; pass++ {
 		for _, req := range probes {
-			ans, err := repo.STRQ(context.Background(), req)
+			ans, err := strq(context.Background(), repo, req)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -57,12 +57,12 @@ type shardResult struct {
 }
 
 // runIterShard answers one planned scan with a composed iterator plan
-// (exec.ScanPipe, a pooled SegmentScan → CountRows → Verify chain)
+// (exec.ScanPipe, a pooled SegmentScan → CountRowsOp → VerifyOp chain)
 // finished by a sink: the segment scan classifies each cell against the
 // margin before decode (full-reject pruned, full-accept skips
-// verification), Verify applies the reconstruction-distance filter to
+// verification), VerifyOp applies the reconstruction-distance filter to
 // the rest, and the sink flattens surviving rows (approximate) or
-// batch-verifies them against raw storage (exact). Instrument
+// batch-verifies them against raw storage (exact). InstrumentOp
 // boundaries report per-operator time and row counts into the request
 // trace when one is attached.
 func runIterShard(ctx context.Context, s *Segment, rect geo.Rect, lo, hi int, exact bool, tr *obs.Trace) (shardResult, error) {

@@ -96,7 +96,7 @@ func verifyAgainstTruth(t *testing.T, repo *Repository, cols []*traj.Column, rng
 	for i := 0; i < probes; i++ {
 		col := cols[rng.Intn(len(cols))]
 		p := col.Points[rng.Intn(col.Len())]
-		ans, err := repo.STRQ(ctx, STRQRequest{P: p, Tick: col.Tick, Exact: true})
+		ans, err := strq(ctx, repo, STRQRequest{P: p, Tick: col.Tick, Exact: true})
 		if err != nil {
 			t.Fatalf("STRQ(tick %d): %v", col.Tick, err)
 		}

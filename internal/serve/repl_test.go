@@ -257,11 +257,11 @@ func TestReplicationCrashTorture(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		col := cols[rng.Intn(len(cols))]
 		req := STRQRequest{P: col.Points[rng.Intn(col.Len())], Tick: col.Tick, Exact: i%2 == 0}
-		got, err := follower.STRQ(ctx, req)
+		got, err := strq(ctx, follower, req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := ref.STRQ(ctx, req)
+		want, err := strq(ctx, ref, req)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1073,7 +1073,8 @@ type STRQRequest struct {
 }
 
 // Validate is the single copy of the request's admission rules, enforced
-// by Repository.STRQ (as an error) and by the HTTP layer (as a 400).
+// by Repository.Batch (as a per-answer error) and by the HTTP layer (as a
+// 400).
 func (q STRQRequest) Validate() error {
 	if !q.P.IsFinite() {
 		return fmt.Errorf("non-finite query point %v", q.P)
@@ -1120,24 +1121,13 @@ type STRQAnswer struct {
 	Err        string           `json:"error,omitempty"`
 }
 
-// STRQ answers "who was in the query cell of p at tick". Ticks at or
-// below the sealed watermark route to the covering segment's engine
-// (approximate: recall 1 by the local-search guarantee; exact: verified
-// against raw storage); fresher ticks are answered exactly from the raw
-// hot tail. The probe and every path it asks for read one view. ctx
-// bounds the work: a cancelled or expired context aborts the query and
-// returns the context error.
-func (r *Repository) STRQ(ctx context.Context, req STRQRequest) (*STRQAnswer, error) {
-	v := r.readView(req.Tick, req.lastTick())
-	ans, err := r.probe(ctx, &v, req)
-	if err != nil {
-		return nil, err
-	}
-	return &ans, nil
-}
-
 // probe answers one request against v, counting it in the query
-// metrics.
+// metrics. Ticks at or below the sealed watermark route to the covering
+// segment's engine (approximate: recall 1 by the local-search guarantee;
+// exact: verified against raw storage); fresher ticks are answered
+// exactly from the raw hot tail. The probe and every path it asks for
+// read v. A cancelled or expired ctx aborts the probe with the context
+// error.
 func (r *Repository) probe(ctx context.Context, v *readView, req STRQRequest) (STRQAnswer, error) {
 	r.met.queries.Inc()
 	// Same rules as the HTTP layer, so programmatic callers get an error
@@ -1188,7 +1178,7 @@ func (r *Repository) Batch(ctx context.Context, reqs []STRQRequest) []STRQAnswer
 // (deviation ≤ the summary's bound); hot ranges return raw points.
 // Cancellation is best-effort: a done context stops the stitching walk
 // and returns the (possibly partial) path built so far — callers that
-// must surface the cancellation check ctx.Err() themselves, as STRQ does.
+// must surface the cancellation check ctx.Err() themselves, as a probe does.
 func (r *Repository) Path(ctx context.Context, id traj.ID, from, l int) Path {
 	v := r.readView(from, spanEnd(from, l)-1)
 	return v.path(ctx, id, from, l)
@@ -1479,10 +1469,6 @@ type WindowStats struct {
 func (r *Repository) Stats() Stats {
 	return r.statsFromSnapshot(r.met.reg.Snapshot())
 }
-
-// Draining reports whether shutdown has started (readiness turns false
-// while in-flight requests finish).
-func (r *Repository) Draining() bool { return r.draining.Load() }
 
 // Degraded returns the write-ahead log's latched disk error, or nil
 // while ingest is healthy. A degraded repository keeps serving reads;

@@ -66,6 +66,17 @@ func testOptions(raw *traj.Dataset) Options {
 // on the fly; after the stream is flushed, a batch of exact queries must
 // match a single static engine built over the whole dataset, cell for
 // cell. Run with -race.
+// strq answers one probe through a read view of its own. Unlike Batch it
+// keeps the context error typed, which the deadline tests check.
+func strq(ctx context.Context, r *Repository, req STRQRequest) (*STRQAnswer, error) {
+	v := r.readView(req.Tick, req.lastTick())
+	ans, err := r.probe(ctx, &v, req)
+	if err != nil {
+		return nil, err
+	}
+	return &ans, nil
+}
+
 func TestConcurrentMixedWorkloadMatchesStatic(t *testing.T) {
 	d, cols := testData(t)
 	opts := testOptions(d)
@@ -94,7 +105,7 @@ func TestConcurrentMixedWorkloadMatchesStatic(t *testing.T) {
 				}
 				col := cols[rng.Intn(int(hi)+1)]
 				p := col.Points[rng.Intn(col.Len())]
-				ans, err := repo.STRQ(context.Background(), STRQRequest{P: p, Tick: col.Tick, Exact: true, PathLen: pathLen})
+				ans, err := strq(context.Background(), repo, STRQRequest{P: p, Tick: col.Tick, Exact: true, PathLen: pathLen})
 				if err != nil {
 					errCh <- err
 					return
@@ -259,7 +270,7 @@ func TestApproxRecallIsOne(t *testing.T) {
 	for q := 0; q < 300; q++ {
 		col := cols[rng.Intn(len(cols))]
 		p := col.Points[rng.Intn(col.Len())]
-		ans, err := repo.STRQ(context.Background(), STRQRequest{P: p, Tick: col.Tick})
+		ans, err := strq(context.Background(), repo, STRQRequest{P: p, Tick: col.Tick})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -437,7 +448,7 @@ func TestIngestValidation(t *testing.T) {
 	if err := repo.Ingest(7, []traj.ID{30, 9, 20}, []geo.Point{{X: 1, Y: 1}, {X: 1, Y: 1}, {X: 1, Y: 1}}); err != nil {
 		t.Fatalf("unsorted batch: %v", err)
 	}
-	ans, err := repo.STRQ(context.Background(), STRQRequest{P: geo.Pt(1, 1), Tick: 7})
+	ans, err := strq(context.Background(), repo, STRQRequest{P: geo.Pt(1, 1), Tick: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,11 +485,11 @@ func TestExactQueryUnknownIDErrs(t *testing.T) {
 	if err := repo.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := repo.STRQ(context.Background(), STRQRequest{P: p, Tick: start + 1, Exact: true}); !errors.Is(err, query.ErrNoRaw) {
+	if _, err := strq(context.Background(), repo, STRQRequest{P: p, Tick: start + 1, Exact: true}); !errors.Is(err, query.ErrNoRaw) {
 		t.Fatalf("exact query over unknown raw ID: want ErrNoRaw class, got %v", err)
 	}
 	// Approximate mode keeps working.
-	ans, err := repo.STRQ(context.Background(), STRQRequest{P: p, Tick: start + 1})
+	ans, err := strq(context.Background(), repo, STRQRequest{P: p, Tick: start + 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -541,11 +552,11 @@ func TestExactWithoutRawErrors(t *testing.T) {
 		}
 	}
 	sealedCol, hotCol := cols[0], cols[len(cols)-1]
-	_, err = repo.STRQ(context.Background(), STRQRequest{P: sealedCol.Points[0], Tick: sealedCol.Tick, Exact: true})
+	_, err = strq(context.Background(), repo, STRQRequest{P: sealedCol.Points[0], Tick: sealedCol.Tick, Exact: true})
 	if !errors.Is(err, query.ErrNoRaw) {
 		t.Fatalf("sealed exact without raw: want ErrNoRaw, got %v", err)
 	}
-	ans, err := repo.STRQ(context.Background(), STRQRequest{P: hotCol.Points[0], Tick: hotCol.Tick, Exact: true})
+	ans, err := strq(context.Background(), repo, STRQRequest{P: hotCol.Points[0], Tick: hotCol.Tick, Exact: true})
 	if err != nil {
 		t.Fatalf("hot exact: %v", err)
 	}
@@ -600,7 +611,7 @@ func TestHotTailAccountingUnderRacingCompaction(t *testing.T) {
 		rng := rand.New(rand.NewSource(8))
 		for !done.Load() {
 			col := cols[rng.Intn(len(cols))]
-			if _, err := repo.STRQ(context.Background(), STRQRequest{P: col.Points[0], Tick: col.Tick}); err != nil {
+			if _, err := strq(context.Background(), repo, STRQRequest{P: col.Points[0], Tick: col.Tick}); err != nil {
 				panic(err)
 			}
 		}
@@ -716,10 +727,10 @@ func TestGoAPIValidationMatchesHTTP(t *testing.T) {
 	}
 	defer repo.Close()
 	ctx := context.Background()
-	if _, err := repo.STRQ(ctx, STRQRequest{P: geo.Pt(math.NaN(), 0), Tick: 0}); err == nil {
+	if _, err := strq(ctx, repo, STRQRequest{P: geo.Pt(math.NaN(), 0), Tick: 0}); err == nil {
 		t.Fatal("non-finite STRQ point should error")
 	}
-	if _, err := repo.STRQ(ctx, STRQRequest{P: geo.Pt(1, 1), Tick: 0, PathLen: -1}); err == nil {
+	if _, err := strq(ctx, repo, STRQRequest{P: geo.Pt(1, 1), Tick: 0, PathLen: -1}); err == nil {
 		t.Fatal("negative path length should error")
 	}
 	if _, err := repo.Window(ctx, geo.Rect{MinX: 2, MinY: 0, MaxX: 1, MaxY: 1}, 0, 1, false); err == nil {

@@ -22,9 +22,6 @@ type PageRange struct {
 	First, Last int
 }
 
-// Pages returns the number of pages in the range.
-func (r PageRange) Pages() int { return r.Last - r.First + 1 }
-
 // PageStore is an append-only page allocator with I/O accounting. The
 // read/write counters are atomic, so concurrent queries (each with its own
 // ReadTracker) can charge I/Os without a data race; allocation itself
@@ -43,9 +40,6 @@ func New(pageSize int) *PageStore {
 	}
 	return &PageStore{pageSize: pageSize}
 }
-
-// PageSize returns the page size in bytes.
-func (s *PageStore) PageSize() int { return s.pageSize }
 
 // Alloc appends a blob of the given size and returns the page range it
 // occupies. Zero-sized blobs occupy the current page. Writes are charged
@@ -73,14 +67,6 @@ func (s *PageStore) AlignToPage() {
 	}
 }
 
-// NumPages returns the total pages allocated so far.
-func (s *PageStore) NumPages() int {
-	return (s.offset + s.pageSize - 1) / s.pageSize
-}
-
-// BytesUsed returns the total bytes allocated.
-func (s *PageStore) BytesUsed() int { return s.offset }
-
 // ReadTracker deduplicates page reads within one logical operation (one
 // query): the same page is charged once per operation, mirroring a buffer
 // that survives for the duration of a single query.
@@ -104,14 +90,8 @@ func (t *ReadTracker) Read(r PageRange) {
 	}
 }
 
-// PagesTouched returns the distinct pages read in this operation.
-func (t *ReadTracker) PagesTouched() int { return len(t.seen) }
-
 // Reads returns the cumulative page reads.
 func (s *PageStore) Reads() int { return int(s.reads.Load()) }
-
-// Writes returns the cumulative page writes.
-func (s *PageStore) Writes() int { return int(s.writes.Load()) }
 
 // ResetCounters zeroes the I/O counters (allocation state is kept), so a
 // benchmark can measure the query phase separately from the build phase.

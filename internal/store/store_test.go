@@ -2,42 +2,48 @@ package store
 
 import "testing"
 
+// numPages counts the pages allocated so far.
+func numPages(s *PageStore) int { return (s.offset + s.pageSize - 1) / s.pageSize }
+
+// pages counts the pages of r.
+func pages(r PageRange) int { return r.Last - r.First + 1 }
+
 func TestAllocSinglePage(t *testing.T) {
 	s := New(1024)
 	r := s.Alloc(100)
-	if r.First != 0 || r.Last != 0 || r.Pages() != 1 {
+	if r.First != 0 || r.Last != 0 || pages(r) != 1 {
 		t.Fatalf("range = %+v", r)
 	}
 	r = s.Alloc(100)
 	if r.First != 0 || r.Last != 0 {
 		t.Fatalf("second small alloc should stay on page 0: %+v", r)
 	}
-	if s.NumPages() != 1 {
-		t.Fatalf("NumPages = %d", s.NumPages())
+	if numPages(s) != 1 {
+		t.Fatalf("pages = %d", numPages(s))
 	}
 }
 
 func TestAllocSpansPages(t *testing.T) {
 	s := New(1024)
 	r := s.Alloc(3000)
-	if r.First != 0 || r.Last != 2 || r.Pages() != 3 {
+	if r.First != 0 || r.Last != 2 || pages(r) != 3 {
 		t.Fatalf("range = %+v", r)
 	}
-	if s.NumPages() != 3 {
-		t.Fatalf("NumPages = %d", s.NumPages())
+	if numPages(s) != 3 {
+		t.Fatalf("pages = %d", numPages(s))
 	}
-	if s.Writes() != 3 {
-		t.Fatalf("Writes = %d", s.Writes())
+	if s.writes.Load() != 3 {
+		t.Fatalf("writes = %d", s.writes.Load())
 	}
 }
 
 func TestAllocZero(t *testing.T) {
 	s := New(1024)
 	r := s.Alloc(0)
-	if r.Pages() != 1 {
+	if pages(r) != 1 {
 		t.Fatalf("zero alloc range = %+v", r)
 	}
-	if s.BytesUsed() != 0 {
+	if s.offset != 0 {
 		t.Fatal("zero alloc must not consume bytes")
 	}
 }
@@ -70,8 +76,8 @@ func TestAlignToPage(t *testing.T) {
 
 func TestDefaultPageSize(t *testing.T) {
 	s := New(0)
-	if s.PageSize() != DefaultPageSize {
-		t.Fatalf("PageSize = %d", s.PageSize())
+	if s.pageSize != DefaultPageSize {
+		t.Fatalf("page size = %d", s.pageSize)
 	}
 }
 
@@ -86,8 +92,8 @@ func TestReadTrackerDedup(t *testing.T) {
 	if s.Reads() != 3 {
 		t.Fatalf("Reads = %d, want 3", s.Reads())
 	}
-	if tr.PagesTouched() != 3 {
-		t.Fatalf("PagesTouched = %d", tr.PagesTouched())
+	if len(tr.seen) != 3 {
+		t.Fatalf("pages touched = %d", len(tr.seen))
 	}
 	// A new operation pays again.
 	tr2 := s.BeginRead()
@@ -102,10 +108,10 @@ func TestResetCounters(t *testing.T) {
 	s.Alloc(5000)
 	s.BeginRead().Read(PageRange{0, 2})
 	s.ResetCounters()
-	if s.Reads() != 0 || s.Writes() != 0 {
+	if s.Reads() != 0 || s.writes.Load() != 0 {
 		t.Fatal("counters not reset")
 	}
-	if s.NumPages() == 0 {
+	if numPages(s) == 0 {
 		t.Fatal("allocation state must survive reset")
 	}
 }

@@ -76,26 +76,3 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 	}
 	return NewDataset(trajs), nil
 }
-
-// WriteCSV emits the dataset in ReadCSV's format, with a header.
-func WriteCSV(w io.Writer, d *Dataset) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"traj_id", "tick", "x", "y"}); err != nil {
-		return err
-	}
-	for _, tr := range d.All() {
-		for i, p := range tr.Points {
-			rec := []string{
-				strconv.FormatUint(uint64(tr.ID), 10),
-				strconv.Itoa(tr.Start + i),
-				strconv.FormatFloat(p.X, 'f', -1, 64),
-				strconv.FormatFloat(p.Y, 'f', -1, 64),
-			}
-			if err := cw.Write(rec); err != nil {
-				return err
-			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}

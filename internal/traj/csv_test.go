@@ -2,6 +2,8 @@ package traj
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -67,15 +69,24 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 }
 
+// writeCSV emits d in ReadCSV's format, header first; %v prints each
+// coordinate in the shortest form that parses back to the same float64.
+func writeCSV(w io.Writer, d *Dataset) {
+	fmt.Fprintln(w, "traj_id,tick,x,y")
+	for _, tr := range d.All() {
+		for i, p := range tr.Points {
+			fmt.Fprintf(w, "%d,%d,%v,%v\n", tr.ID, tr.Start+i, p.X, p.Y)
+		}
+	}
+}
+
 func TestCSVRoundTrip(t *testing.T) {
 	d := NewDataset([]*Trajectory{
 		{Start: 3, Points: []geo.Point{geo.Pt(-8.61, 41.15), geo.Pt(-8.62, 41.16)}},
 		{Start: 0, Points: []geo.Point{geo.Pt(1, 2)}},
 	})
 	var buf bytes.Buffer
-	if err := WriteCSV(&buf, d); err != nil {
-		t.Fatal(err)
-	}
+	writeCSV(&buf, d)
 	got, err := ReadCSV(&buf)
 	if err != nil {
 		t.Fatal(err)

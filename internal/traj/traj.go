@@ -81,15 +81,6 @@ func (t *Trajectory) Slice(from, to int) []geo.Point {
 // BoundingRect returns the minimum rectangle covering the trajectory.
 func (t *Trajectory) BoundingRect() geo.Rect { return geo.BoundingRect(t.Points, 0) }
 
-// PathLength returns the total travelled distance.
-func (t *Trajectory) PathLength() float64 {
-	var d float64
-	for i := 1; i < len(t.Points); i++ {
-		d += t.Points[i].Dist(t.Points[i-1])
-	}
-	return d
-}
-
 // Dataset is an immutable collection of trajectories indexed by ID, with
 // fast per-timestamp access.
 type Dataset struct {
@@ -199,14 +190,6 @@ func (d *Dataset) Stream(fn func(col *Column) error) error {
 		}
 	}
 	return nil
-}
-
-// History returns the most recent n positions of trajectory id strictly
-// before tick k, oldest first. Fewer than n are returned near the start.
-func (d *Dataset) History(id ID, k, n int) []geo.Point {
-	tr := d.Get(id)
-	from := k - n
-	return tr.Slice(from, k)
 }
 
 // SortedIDs returns all IDs active at tick k in ascending order (helper

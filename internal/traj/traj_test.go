@@ -46,9 +46,6 @@ func TestTrajectorySlice(t *testing.T) {
 
 func TestTrajectoryPathAndBounds(t *testing.T) {
 	tr := mkTraj(0, geo.Pt(0, 0), geo.Pt(3, 4), geo.Pt(3, 0))
-	if d := tr.PathLength(); d != 9 {
-		t.Fatalf("PathLength = %v, want 9", d)
-	}
 	r := tr.BoundingRect()
 	if r.MinX != 0 || r.MinY != 0 || r.MaxX != 3 || r.MaxY != 4 {
 		t.Fatalf("BoundingRect = %v", r)
@@ -135,23 +132,6 @@ func TestStreamVisitsAllPointsInOrder(t *testing.T) {
 		if ticks[i] != want[i] {
 			t.Fatalf("ticks = %v, want %v", ticks, want)
 		}
-	}
-}
-
-func TestHistory(t *testing.T) {
-	d := NewDataset([]*Trajectory{
-		mkTraj(0, geo.Pt(0, 0), geo.Pt(1, 1), geo.Pt(2, 2), geo.Pt(3, 3)),
-	})
-	h := d.History(0, 3, 2)
-	if len(h) != 2 || h[0] != geo.Pt(1, 1) || h[1] != geo.Pt(2, 2) {
-		t.Fatalf("History = %v", h)
-	}
-	// Near the start fewer points come back.
-	if h := d.History(0, 1, 5); len(h) != 1 || h[0] != geo.Pt(0, 0) {
-		t.Fatalf("History near start = %v", h)
-	}
-	if h := d.History(0, 0, 3); len(h) != 0 {
-		t.Fatalf("History before start = %v", h)
 	}
 }
 

@@ -228,9 +228,6 @@ func (s *Store) leaves() []*node {
 	return out
 }
 
-// NumCells returns the number of leaf cells.
-func (s *Store) NumCells() int { return len(s.leaves()) }
-
 // CompressFixed quantizes every cell's points, allocating a share of
 // totalWords codewords proportional to the cell's population (§6.2.1's
 // fairness protocol: "the codewords are assigned in proportion to the

@@ -34,8 +34,8 @@ func TestSplitOnOverflow(t *testing.T) {
 	if s.Stats().Splits == 0 {
 		t.Fatal("50 points with a 10-point cap must split")
 	}
-	if s.NumCells() < 4 {
-		t.Fatalf("NumCells = %d", s.NumCells())
+	if len(s.leaves()) < 4 {
+		t.Fatalf("leaf cells = %d", len(s.leaves()))
 	}
 	if s.NumPoints() != 50 {
 		t.Fatalf("NumPoints = %d", s.NumPoints())
@@ -50,7 +50,6 @@ func TestMergeSparseSiblings(t *testing.T) {
 		geo.Pt(10, 10), geo.Pt(12, 12), geo.Pt(90, 90), geo.Pt(88, 88), geo.Pt(50, 50),
 	}
 	s.Append(ids, pts, 0)
-	_ = s.NumCells()
 	// The merge pass runs per Append; with few points and MinPointsPerCell
 	// 3, deep sparse sibling groups collapse back.
 	if s.Stats().Splits > 0 && s.Stats().Merges == 0 {
@@ -110,7 +109,7 @@ func TestCompressFixedProportionalBudget(t *testing.T) {
 	if f.NumPoints != d.NumPoints() {
 		t.Fatalf("NumPoints = %d, want %d", f.NumPoints, d.NumPoints())
 	}
-	if used == 0 || used > 128+s.NumCells() {
+	if used == 0 || used > 128+len(s.leaves()) {
 		t.Fatalf("codewords used = %d", used)
 	}
 	if f.MAE() <= 0 {
@@ -149,11 +148,10 @@ func TestDiskLayoutTimeInterleavingCostsIOs(t *testing.T) {
 	}
 	ps := store.New(4096)
 	s.AssignPages(ps)
-	rt := ps.BeginRead()
-	s.Lookup(geo.Pt(10, 10), 1000, rt)
+	s.Lookup(geo.Pt(10, 10), 1000, ps.BeginRead())
 	// 8000 entries * 20 B = 160 kB / 4 kB pages = ~40 pages for one query.
-	if rt.PagesTouched() < 10 {
-		t.Fatalf("expected a multi-page fetch, got %d", rt.PagesTouched())
+	if ps.Reads() < 10 {
+		t.Fatalf("expected a multi-page fetch, got %d", ps.Reads())
 	}
 }
 
@@ -186,7 +184,7 @@ func TestCellRectContainsQuery(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		q := geo.Pt(rng.Float64()*100, rng.Float64()*100)
 		r := s.CellRect(q)
-		if !r.Contains(q) && !r.ContainsClosed(q) {
+		if q.X < r.MinX || q.X > r.MaxX || q.Y < r.MinY || q.Y > r.MaxY {
 			t.Fatalf("cell %v does not contain query %v", r, q)
 		}
 	}
